@@ -48,7 +48,10 @@ def greedy_graph_growing(
     """Greedy graph-growing initial bisection (METIS's GGP).
 
     Grows a region by BFS from a random seed vertex until it holds half
-    the vertex weight; the best of ``trials`` seeds (by cut) wins.
+    the vertex weight; the best of ``trials`` seeds (by cut) wins.  When
+    the seed's component runs out first, growth continues from the
+    lowest-index vertex not yet reached (no RNG draw, so connected
+    inputs grow exactly as before).
     """
     n = graph.num_vertices
     if n == 0:
@@ -81,6 +84,15 @@ def greedy_graph_growing(
                 side[u] = 0
                 grown += float(graph.vwgt[u])
             frontier = [u for u in nxt if side[u] == 0]
+            if not frontier and grown < half:
+                # component exhausted: restart from the next unreached one
+                restart = int(np.argmin(seen))
+                if seen[restart]:
+                    break
+                seen[restart] = True
+                side[restart] = 0
+                grown += float(graph.vwgt[restart])
+                frontier = [restart]
         if (side == 0).all():  # disconnected leftovers
             side[-1] = 1
         b = Bisection(graph, side)

@@ -27,53 +27,21 @@ the Python/NumPy payloads between rank programs — so distributed
 algorithms compute real results while the clocks estimate what the
 communication would cost on the modelled cluster.
 
-Semantics notes
----------------
-* ``send`` is buffered/eager (like MPI_Send under the eager protocol):
-  it never blocks the sender.  ``recv`` blocks until a matching message
-  (same source, tag and communicator) has been posted.  Messages between
-  a (src, dst, tag) pair are delivered FIFO.
-* A collective completes when *every* rank of its communicator has
-  posted the *same* collective; posting mismatched collectives raises
-  :class:`~repro.errors.CommError`, and a state where no rank can
-  advance raises :class:`~repro.errors.DeadlockError` naming the parked
-  operations — both invaluable when debugging distributed algorithms.
-* Payload delivery has two modes (``run_spmd(..., copy_mode=...)``).
-  The default ``"readonly"`` fast path delivers NumPy arrays as
-  *read-only views* (``flags.writeable = False``) — zero-copy, so halo
-  exchanges, allgathers and β-refreshes cost O(1) per array instead of
-  a full copy.  Receivers that need to mutate call ``.copy()``
-  explicitly (attempting in-place mutation raises ``ValueError``), and
-  senders must not mutate a payload after posting it — the same
-  contract as the :class:`~repro.graph.distributed.Shared` idiom.
-  ``copy_mode="defensive"`` restores deep-copy-on-delivery semantics
-  (received data never aliases sender memory), and a per-message
-  ``comm.send(..., copy=True/False)`` overrides the engine mode.
-* ``run_spmd(..., sanitize=True)`` (or ``REPRO_SANITIZE=1`` in the
-  environment) enables the dynamic sanitizer
-  (:mod:`repro.analysis.sanitizer`): posted payloads are checksummed
-  and mutation before delivery raises :class:`CommError`, completed
-  collectives are ledgered per rank and cross-checked on exit,
-  communication generators created without ``yield from`` are reported
-  when their rank returns, and undelivered messages at exit become an
-  error instead of a :class:`~repro.errors.CommWarning`.
-* ``run_spmd(..., faults=FaultPlan(...))`` injects deterministic faults
-  (:mod:`repro.parallel.faults`): ranks die at scheduled op indices and
-  point-to-point messages are dropped, duplicated, delayed or
-  corrupted.  Surviving ranks that depend on a dead rank raise
-  :class:`~repro.errors.RankFailure`; ``max_steps`` /
-  ``max_sim_seconds`` convert runaway programs into a typed
-  :class:`~repro.errors.BudgetExceededError`.  With ``faults=None``
-  (default) none of this machinery is on the hot path.
+What an operation means — matching, validation, per-rank results,
+message faults, ledger booking — is defined once in
+:mod:`repro.parallel.ops` and shared with the real-process backend.
+This module keeps the scheduler, the modelled cost of every operation,
+the dynamic sanitizer and exact deadlock detection; :func:`run_spmd`
+documents the knobs (``copy_mode``, ``sanitize``, ``faults``, budgets,
+``backend``).
 """
 
 from __future__ import annotations
 
 import inspect
-import os
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,186 +55,34 @@ from ..errors import (
     RankFailure,
 )
 from ..rng import SeedLike, spawn_streams
-from .faults import FaultEvent, FaultPlan, corrupt_payload
+from .faults import FaultEvent, FaultPlan
 from .machine import MachineModel, QDR_CLUSTER
+from .ops import (
+    _COLLECTIVES,
+    _ROOTED,
+    _Group,
+    _Op,
+    _copy_payload,
+    _op_words,
+    _readonly_payload,
+    book_collective,
+    book_recv,
+    book_send,
+    check_collective,
+    check_config,
+    check_yielded,
+    collective_results,
+    env_sanitize,
+    fault_copies,
+    parked_context,
+    payload_words,
+)
 from .trace import CommStats, DEFAULT_PHASE, PhaseBreakdown, SpmdResult
 
 __all__ = ["Comm", "run_spmd", "payload_words"]
 
-
-# ----------------------------------------------------------------------
-# payload utilities
-# ----------------------------------------------------------------------
-
-def payload_words(obj: Any) -> float:
-    """Estimate the size of a payload in 8-byte words.
-
-    Used by the cost model when the caller does not pass ``words=``.
-    NumPy arrays are exact; containers are summed recursively; scalars
-    count as one word.
-    """
-    if obj is None:
-        return 0.0
-    if isinstance(obj, np.ndarray):
-        return max(1.0, obj.nbytes / 8.0)
-    if isinstance(obj, (int, float, complex, bool, np.generic)):
-        return 1.0
-    if isinstance(obj, (bytes, str)):
-        return max(1.0, len(obj) / 8.0)
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 1.0 + sum(payload_words(x) for x in obj)
-    if isinstance(obj, dict):
-        return 1.0 + sum(payload_words(k) + payload_words(v) for k, v in obj.items())
-    d = getattr(obj, "__dict__", None)
-    if d is not None:
-        return 1.0 + payload_words(d)
-    return 4.0
-
-
-def _copy_payload(obj: Any) -> Any:
-    """Defensive copy of a message payload (arrays and containers)."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, list):
-        return [_copy_payload(x) for x in obj]
-    if isinstance(obj, tuple):
-        return tuple(_copy_payload(x) for x in obj)
-    if isinstance(obj, dict):
-        return {k: _copy_payload(v) for k, v in obj.items()}
-    return obj
-
-
-def _readonly_payload(obj: Any) -> Any:
-    """Zero-copy delivery: arrays become read-only views of the sender's
-    buffer (containers are rebuilt so the structure is private, the
-    array data is not)."""
-    if isinstance(obj, np.ndarray):
-        view = obj.view()
-        view.flags.writeable = False
-        return view
-    if isinstance(obj, list):
-        return [_readonly_payload(x) for x in obj]
-    if isinstance(obj, tuple):
-        return tuple(_readonly_payload(x) for x in obj)
-    if isinstance(obj, dict):
-        return {k: _readonly_payload(v) for k, v in obj.items()}
-    return obj
-
-
-_COPY_MODES = ("readonly", "defensive")
-
 #: execution backends run_spmd can dispatch to
 _BACKENDS = ("sim", "procs")
-
-
-_REDUCERS: Dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
-    "min": lambda a, b: (np.minimum(a, b) if isinstance(a, np.ndarray)
-                         or isinstance(b, np.ndarray) else min(a, b)),
-    "max": lambda a, b: (np.maximum(a, b) if isinstance(a, np.ndarray)
-                         or isinstance(b, np.ndarray) else max(a, b)),
-}
-
-#: one-shot ufunc per named op for the stacked-array fast path
-_ARRAY_REDUCERS = {"sum": np.sum, "prod": np.prod, "min": np.min, "max": np.max}
-
-
-def _reduce_values(values: Sequence[Any], op) -> Any:
-    """Combine per-rank contributions into one reduction result.
-
-    Named ops on array payloads take a vectorised fast path: the
-    contributions are stacked and reduced with a single ufunc call
-    instead of a pairwise Python fold.  Shape-mismatched array
-    contributions (including scalars mixed with arrays) raise
-    :class:`CommError` — silently broadcasting them is never what a
-    distributed reduction means.
-    """
-    if callable(op):
-        fn = op
-        acc = _copy_payload(values[0])
-        for v in values[1:]:
-            acc = fn(acc, v)
-        return acc
-    try:
-        fn = _REDUCERS[op]
-    except KeyError:
-        raise CommError(f"unknown reduction op {op!r}") from None
-    if any(isinstance(v, np.ndarray) for v in values):
-        shapes = {v.shape if isinstance(v, np.ndarray) else () for v in values}
-        if len(shapes) != 1:
-            raise CommError(
-                f"{op} reduction over mismatched payload shapes {sorted(shapes)}; "
-                "all ranks must contribute arrays of one shape"
-            )
-        return _ARRAY_REDUCERS[op](np.stack(values), axis=0)
-    if len(values) == 1:
-        return _copy_payload(values[0])
-    acc = values[0]
-    for v in values[1:]:
-        acc = fn(acc, v)
-    return acc
-
-
-# ----------------------------------------------------------------------
-# requests
-# ----------------------------------------------------------------------
-
-_COLLECTIVES = {
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "scan", "split", "exchange",
-}
-
-
-@dataclass
-class _Op:
-    """A communication request yielded by a rank program."""
-
-    kind: str
-    cid: int
-    value: Any = None
-    root: int = 0
-    op: Any = "sum"
-    tag: int = 0
-    source: int = -1
-    dest: int = -1
-    color: Any = None
-    key: int = 0
-    words: Optional[float] = None
-    #: per-message copy override for sends (None = engine copy_mode)
-    copy: Optional[bool] = None
-    #: memoised payload_words(value) — computed at most once per op
-    wcache: Optional[float] = None
-    #: sanitizer checksum of the payload at post time (sanitize mode)
-    cksum: Optional[int] = None
-
-
-def _op_words(op: "_Op") -> float:
-    """Payload size of an op in words, computed once and cached.
-
-    Collectives consult the size twice (ledger accounting and cost
-    model); caching keeps the recursive container walk off the hot path.
-    """
-    if op.words is not None:
-        return op.words
-    if op.wcache is None:
-        op.wcache = payload_words(op.value)
-    return op.wcache
-
-
-@dataclass
-class _Group:
-    """A communicator: an ordered list of participating global ranks."""
-
-    cid: int
-    members: Tuple[int, ...]  # global rank ids, position = local rank
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def local(self, grank: int) -> int:
-        return self.members.index(grank)
 
 
 class Comm:
@@ -422,11 +238,7 @@ class Comm:
 # ----------------------------------------------------------------------
 
 #: Comm methods wrapped by the sanitizer's undriven-generator tracking
-_TRACKED_METHODS = (
-    "send", "recv", "sendrecv", "barrier", "bcast", "reduce", "allreduce",
-    "gather", "allgather", "scatter", "alltoall", "scan", "exchange",
-    "split",
-)
+_TRACKED_METHODS = ("send", "recv", "sendrecv") + tuple(sorted(_COLLECTIVES))
 
 
 class _SanitizedComm(Comm):
@@ -479,10 +291,6 @@ class _Engine:
                  faults: Optional[FaultPlan] = None,
                  max_steps: Optional[int] = None,
                  max_sim_seconds: Optional[float] = None) -> None:
-        if copy_mode not in _COPY_MODES:
-            raise CommError(
-                f"unknown copy_mode {copy_mode!r}; expected one of {_COPY_MODES}"
-            )
         self.machine = machine
         self.copy_mode = copy_mode
         self.sanitizer: Optional[Sanitizer] = Sanitizer(nranks) if sanitize else None
@@ -566,17 +374,6 @@ class _Engine:
         return cls(self, group, grank)
 
 
-def _is_generator_function(fn) -> bool:
-    return inspect.isgeneratorfunction(fn)
-
-
-def _env_sanitize() -> bool:
-    """Default for ``run_spmd``'s ``sanitize`` from the environment."""
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
-
-
 def run_spmd(
     fn: Callable,
     nranks: int,
@@ -600,19 +397,29 @@ def run_spmd(
     :class:`~repro.parallel.trace.SpmdResult` with per-rank return
     values and the simulated timing accounts.
 
-    ``copy_mode`` selects payload-delivery semantics: ``"readonly"``
-    (default) delivers NumPy payloads as zero-copy read-only views,
-    ``"defensive"`` deep-copies every delivery (see the module
-    docstring's semantics notes).  The two modes are functionally
+    ``copy_mode`` selects payload-delivery semantics.  The default
+    ``"readonly"`` fast path delivers NumPy arrays as zero-copy
+    *read-only views* — halo exchanges, allgathers and β-refreshes cost
+    O(1) per array.  Receivers that need to mutate call ``.copy()``
+    (in-place mutation raises ``ValueError``), and senders must not
+    mutate a payload after posting it — the contract of the
+    :class:`~repro.graph.distributed.Shared` idiom.  ``"defensive"``
+    deep-copies every delivery, and ``comm.send(..., copy=True/False)``
+    overrides the mode per message.  The two modes are functionally
     equivalent for rank programs that follow the no-mutation contract —
     the determinism suite asserts identical results under both.
 
-    ``sanitize`` enables the dynamic sanitizer (payload checksums, the
-    collective ledger, undriven-generator and undelivered-message
-    errors — see the module docstring).  ``None`` (default) reads the
-    ``REPRO_SANITIZE`` environment variable, so a test shard can turn
-    it on without touching call sites.  A correct rank program returns
-    identical results with and without it.
+    ``sanitize`` enables the dynamic sanitizer
+    (:mod:`repro.analysis.sanitizer`): posted payloads are checksummed
+    and mutation before delivery raises :class:`CommError`, completed
+    collectives are ledgered per rank and cross-checked on exit,
+    communication generators created without ``yield from`` are
+    reported when their rank returns, and undelivered messages at exit
+    become an error instead of a :class:`~repro.errors.CommWarning`.
+    ``None`` (default) reads the ``REPRO_SANITIZE`` environment
+    variable, so a test shard can turn it on without touching call
+    sites.  A correct rank program returns identical results with and
+    without it.
 
     ``faults`` is a deterministic :class:`~repro.parallel.faults.
     FaultPlan` the scheduler consults to kill ranks and drop / duplicate
@@ -655,10 +462,9 @@ def run_spmd(
             max_steps=max_steps, max_sim_seconds=max_sim_seconds,
             op_timeout=op_timeout, stall_timeout=stall_timeout, **kwargs,
         )
-    if nranks < 1:
-        raise CommError(f"nranks must be >= 1, got {nranks}")
+    check_config(nranks, copy_mode)
     if sanitize is None:
-        sanitize = _env_sanitize()
+        sanitize = env_sanitize()
     eng = _Engine(nranks, machine, seed, copy_mode=copy_mode,
                   sanitize=sanitize, faults=faults, max_steps=max_steps,
                   max_sim_seconds=max_sim_seconds)
@@ -788,8 +594,7 @@ def _check_ledgers(eng: _Engine) -> None:
 
 def _sanitize_collective(eng: _Engine, kind: str, parked: List[_RankState]) -> None:
     """Verify posted-payload checksums and book the collective ledger."""
-    root = parked[0].op.root if kind in ("bcast", "reduce", "gather", "scatter") \
-        else None
+    root = parked[0].op.root if kind in _ROOTED else None
     for s in parked:
         if s.op.cksum is not None and payload_checksum(s.op.value) != s.op.cksum:
             raise CommError(
@@ -833,11 +638,7 @@ def _step(eng: _Engine, states: List[_RankState], st: _RankState) -> None:
             st.result = stop.value
             _check_undriven(eng, st.grank)
             return
-        if not isinstance(op, _Op):
-            raise CommError(
-                f"rank {st.grank} yielded {op!r}; rank programs must only "
-                "yield via 'yield from comm.<op>(...)'"
-            )
+        check_yielded(st.grank, op)
         if eng.max_steps is not None:
             eng.steps += 1
             if eng.steps > eng.max_steps:
@@ -868,10 +669,7 @@ def _step(eng: _Engine, states: List[_RankState], st: _RankState) -> None:
 
 
 def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
-    group = eng.groups[op.cid]
-    if not (0 <= op.dest < group.size):
-        raise CommError(f"send dest {op.dest} out of range for comm size {group.size}")
-    gdst = group.members[op.dest]
+    gdst = eng.groups[op.cid].peer(op)
     words = _op_words(op)
     t_post = float(eng.clocks[grank])
     # sender pays the injection overhead; transfer overlaps
@@ -881,6 +679,7 @@ def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
     if eng.sanitizer is not None and op.value is not None:
         cksum = payload_checksum(op.value)
     fault = None
+    local_index = 0
     if eng.faults is not None:
         # eng.messages is the global send ordinal (deterministic rank
         # scheduling order); the sender-local ordinal is the site shared
@@ -890,57 +689,20 @@ def _do_send(eng: _Engine, grank: int, op: _Op) -> None:
         eng.send_counts[grank] = local_index + 1
         fault = eng.faults.message_fault(eng.messages, sender=grank,
                                          sender_index=local_index)
-    key = (grank, gdst, op.tag, op.cid)
-    if fault is None:
-        eng.mailbox.setdefault(key, deque()).append(
-            (arrival, words, eng.deliver(op.value, op.copy), cksum)
-        )
-    else:
-        _fault_send(eng, grank, gdst, op, key, fault, arrival, words, cksum)
-    eng.messages += 1
-    eng.words_sent += words
-    stats = eng.stats_for(grank)
-    stats.sends[grank] += 1
-    stats.words_sent[grank] += words
-
-
-def _fault_send(eng: _Engine, grank: int, gdst: int, op: _Op, key,
-                fault: Tuple[str, float], arrival: float, words: float,
-                cksum: Optional[int]) -> None:
-    """Apply one message fault to a posted send (slow path)."""
-    kind, delay = fault
-    msg_index = eng.messages
-    detail = ""
-    if kind == "drop":
-        pass  # the message is simply never enqueued
-    elif kind == "duplicate":
-        payload = eng.deliver(op.value, op.copy)
-        q = eng.mailbox.setdefault(key, deque())
-        q.append((arrival, words, payload, cksum))
-        q.append((arrival, words, eng.deliver(op.value, op.copy), cksum))
-    elif kind == "delay":
-        arrival += delay
-        detail = f"delayed by {delay:.6g}s"
-        eng.mailbox.setdefault(key, deque()).append(
-            (arrival, words, eng.deliver(op.value, op.copy), cksum)
-        )
-    elif kind == "corrupt":
-        # salt with the sender-local ordinal: the procs backend perturbs
-        # the same element of the same logical message
-        payload, detail = corrupt_payload(eng.deliver(op.value, op.copy),
-                                          eng.send_counts[grank] - 1)
-        # cksum (taken at post time) is deliberately kept: under
-        # sanitize the mismatch is caught at delivery
-        eng.mailbox.setdefault(key, deque()).append(
-            (arrival, words, payload, cksum)
-        )
-    else:  # pragma: no cover - guarded by MessageFault.__post_init__
-        raise CommError(f"unhandled message-fault kind {kind!r}")
-    eng.fault_events.append(FaultEvent(
-        kind=kind, time=float(eng.clocks[grank]), rank=grank, dest=gdst,
-        tag=op.tag, msg_index=msg_index, phase=eng.phase[grank],
-        detail=detail,
-    ))
+    copies, detail = fault_copies(fault, op.value, local_index,
+                                  lambda obj: eng.deliver(obj, op.copy))
+    q = eng.mailbox.setdefault((grank, gdst, op.tag, op.cid), deque())
+    for payload, delay in copies:
+        # a corrupted copy keeps the post-time cksum: under sanitize the
+        # mismatch is caught at delivery
+        q.append((arrival + delay, words, payload, cksum))
+    if fault is not None:
+        eng.fault_events.append(FaultEvent(
+            kind=fault[0], time=float(eng.clocks[grank]), rank=grank,
+            dest=gdst, tag=op.tag, msg_index=eng.messages,
+            phase=eng.phase[grank], detail=detail,
+        ))
+    book_send(eng, grank, words)
 
 
 def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> bool:
@@ -948,12 +710,7 @@ def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> boo
     for st in states:
         if st.status != _PARKED or st.op is None or st.op.kind != "recv":
             continue
-        group = eng.groups[st.op.cid]
-        if not (0 <= st.op.source < group.size):
-            raise CommError(
-                f"recv source {st.op.source} out of range for comm size {group.size}"
-            )
-        gsrc = group.members[st.op.source]
+        gsrc = eng.groups[st.op.cid].peer(st.op)
         key = (gsrc, st.grank, st.op.tag, st.op.cid)
         q = eng.mailbox.get(key)
         if not q:
@@ -980,8 +737,7 @@ def _complete_recvs(eng: _Engine, states: List[_RankState], ready: deque) -> boo
                 "or delay the mutation until after the matching receive"
             )
         stats = eng.stats_for(st.grank)
-        stats.recvs[st.grank] += 1
-        stats.words_received[st.grank] += words
+        book_recv(eng, st.grank, words)
         # idle time: the receiver sat parked before the sender even
         # posted; the transfer itself is the modelled message cost
         wait = arrival - float(eng.clocks[st.grank]) - eng.machine.message_cost(words)
@@ -1026,177 +782,101 @@ def _complete_collectives(eng: _Engine, states: List[_RankState], ready: deque) 
             # a member is missing: either still running (fine) or done (deadlock later)
             continue
         parked.sort(key=lambda s: group.members.index(s.grank))
-        kinds = {s.op.kind for s in parked}
-        if len(kinds) != 1:
-            msg = (
-                f"mismatched collectives on comm {cid}: "
-                + ", ".join(f"rank {group.local(s.grank)}:{s.op.kind}" for s in parked)
-            )
-            if eng.sanitizer is not None:
-                history = "\n".join(
-                    "  " + eng.sanitizer.ledger_tail(s.grank) for s in parked
-                )
-                msg += "\nrecent collectives before the mismatch:\n" + history
-            raise CommError(msg)
-        kind = kinds.pop()
-        if kind in ("bcast", "reduce", "gather", "scatter"):
-            roots = {s.op.root for s in parked}
-            if len(roots) != 1:
-                raise CommError(f"mismatched roots in {kind} on comm {cid}: {roots}")
+        kind = check_collective(
+            cid, [s.op for s in parked],
+            None if eng.sanitizer is None
+            else partial(_ledger_history, eng, parked),
+        )
         if eng.sanitizer is not None:
             _sanitize_collective(eng, kind, parked)
-        _count_collective(eng, kind, parked)
+        _count_collective(eng, parked)
         _run_collective(eng, group, kind, parked)
         for st in parked:
             st.op = None
             st.status = _READY
             ready.append(st)
         progress = True
-        eng.collectives += 1
     return progress
 
 
-def _count_collective(eng: _Engine, kind: str, parked: List[_RankState]) -> None:
+def _ledger_history(eng: _Engine, parked: List[_RankState]) -> str:
+    """Sanitizer context for a kind mismatch: each member's last
+    collectives."""
+    return "\nrecent collectives before the mismatch:\n" + "\n".join(
+        "  " + eng.sanitizer.ledger_tail(s.grank) for s in parked
+    )
+
+
+def _count_collective(eng: _Engine, parked: List[_RankState]) -> None:
     """Book one collective into the comm ledger (before clocks move).
 
-    Every member rank's per-phase ``collectives[kind]`` counter bumps by
-    one, its contributed payload is added to ``collective_words``, and
-    the skew it absorbed waiting for the slowest member is booked as
-    wait time.  The operation itself is counted once (``collective_ops``)
-    in the phase of the communicator's first member.
+    Every member's ledger entry is the core's
+    :func:`~repro.parallel.ops.book_collective`; the skew a member
+    absorbed waiting for the slowest one is booked as wait time.
     """
     t0 = max(float(eng.clocks[s.grank]) for s in parked)
     for s in parked:
         g = s.grank
-        stats = eng.stats_for(g)
-        stats._coll_array(kind)[g] += 1
-        stats.collective_words[g] += _op_words(s.op)
+        book_collective(eng, g, s.op, first=s is parked[0])
         wait = t0 - float(eng.clocks[g])
         if wait > 0:
-            stats.wait_time[g] += wait
-    first = eng.stats_for(parked[0].grank)
-    first.collective_ops[kind] = first.collective_ops.get(kind, 0) + 1
+            eng.stats_for(g).wait_time[g] += wait
 
 
-def _run_collective(eng: _Engine, group: _Group, kind: str, parked: List[_RankState]) -> None:
-    p = group.size
-    ops = [st.op for st in parked]
-    granks = [st.grank for st in parked]
-    t0 = max(float(eng.clocks[g]) for g in granks)
-
-    # ---- results + payload size ----
+def _collective_words(kind: str, ops: List[_Op]) -> float:
+    """Per-rank payload size the cost model charges for a collective."""
+    p = len(ops)
     if kind == "barrier":
-        words = 0.0
-        results = [None] * p
-    elif kind == "bcast":
+        return 0.0
+    if kind == "bcast":
+        return _op_words(ops[ops[0].root])
+    if kind == "split":
+        return 1.0
+    if kind == "scatter":
         rop = ops[ops[0].root]
-        words = _op_words(rop)
-        # zero-copy mode: every rank gets a fresh container skeleton over
-        # read-only views of the root's arrays; defensive: deep copies
-        results = [eng.deliver(rop.value) for _ in range(p)]
-    elif kind == "reduce":
-        words = max(_op_words(o) for o in ops)
-        red = _reduce_values([o.value for o in ops], ops[0].op)
-        results = [red if i == ops[0].root else None for i in range(p)]
-    elif kind == "allreduce":
-        words = max(_op_words(o) for o in ops)
-        red = _reduce_values([o.value for o in ops], ops[0].op)
-        results = [eng.deliver(red) for _ in range(p)]
-    elif kind == "scan":
-        words = max(_op_words(o) for o in ops)
-        results = []
-        acc = None
-        for o in ops:
-            acc = _copy_payload(o.value) if acc is None else _reduce_values([acc, o.value], o.op)
-            results.append(eng.deliver(acc))
-    elif kind == "gather":
-        words = max(_op_words(o) for o in ops)
-        gathered = [eng.deliver(o.value) for o in ops]
-        results = [gathered if i == ops[0].root else None for i in range(p)]
-    elif kind == "allgather":
-        words = max(_op_words(o) for o in ops)
-        if eng.copy_mode == "readonly":
-            # deliver each contribution once; ranks get private list
-            # skeletons over the shared read-only array views
-            items = [eng.deliver(o.value) for o in ops]
-            results = [list(items) for _ in range(p)]
-        else:
-            gathered = [o.value for o in ops]
-            results = [_copy_payload(gathered) for _ in range(p)]
-    elif kind == "scatter":
-        rop = ops[ops[0].root]
-        vals = rop.value
-        if vals is None or len(vals) != p:
-            raise CommError(
-                f"scatter root must supply exactly {p} values, got "
-                f"{None if vals is None else len(vals)}"
-            )
-        words = (
-            max(payload_words(v) for v in vals)
-            if rop.words is None else rop.words / p
-        )
-        results = [eng.deliver(v) for v in vals]
-    elif kind == "alltoall":
-        for o in ops:
-            if o.value is None or len(o.value) != p:
-                raise CommError(f"alltoall requires {p} values per rank")
-        words = max(
+        if rop.words is not None:
+            return rop.words / p
+        return max(payload_words(v) for v in rop.value)
+    if kind == "alltoall":
+        return max(
             max(payload_words(v) for v in o.value) if o.words is None else o.words / p
             for o in ops
         )
-        results = [
-            [eng.deliver(ops[src].value[dst]) for src in range(p)]
-            for dst in range(p)
-        ]
-    elif kind == "exchange":
-        # per-rank payload dicts {dst_local_rank: payload}
-        inboxes: List[Dict[int, Any]] = [dict() for _ in range(p)]
-        out_words = np.zeros(p)
-        for i, o in enumerate(ops):
-            msgs = o.value or {}
-            if not isinstance(msgs, dict):
-                raise CommError("exchange expects a dict {neighbor_rank: payload}")
-            for dst, payload in msgs.items():
-                if not (0 <= dst < p):
-                    raise CommError(f"exchange neighbour {dst} out of range")
-                if dst == i:
-                    raise CommError("exchange to self is not allowed")
-                inboxes[dst][i] = eng.deliver(payload)
-            out_words[i] = (
-                o.words if o.words is not None
-                else sum(payload_words(v) for v in msgs.values())
-            )
-        in_words = np.array(
-            [sum(payload_words(v) for v in box.values()) for box in inboxes]
-        )
-        nnbrs = np.array([len(o.value or {}) for o in ops])
-        for i, st in enumerate(parked):
-            cost = eng.machine.exchange_cost(int(nnbrs[i]), float(out_words[i]),
-                                             float(in_words[i]))
-            eng.advance_to(st.grank, t0 + cost)
-            st.send_value = inboxes[group.local(st.grank)]
-        return
-    elif kind == "split":
-        by_color: Dict[Any, List[Tuple[int, int, int]]] = {}
-        for i, o in enumerate(ops):
-            if o.color is not None:
-                by_color.setdefault(o.color, []).append((o.key, i, granks[i]))
-        words = 1.0
-        new_comms: Dict[int, Comm] = {}
-        for color, lst in sorted(by_color.items(), key=lambda kv: repr(kv[0])):
-            lst.sort()
-            g = eng.new_group([grank for _, _, grank in lst])
-            for _, i, grank in lst:
-                new_comms[i] = eng.make_comm(g, grank)
-        results = [new_comms.get(i) for i in range(p)]
-    else:  # pragma: no cover - guarded by _COLLECTIVES
-        raise CommError(f"unhandled collective {kind}")
+    return max(_op_words(o) for o in ops)
 
-    cost = eng.machine.collective_cost(kind, p, words)
-    t_done = t0 + cost
-    for st in parked:
-        eng.advance_to(st.grank, t_done)
-        st.send_value = results[group.local(st.grank)]
+
+def _run_collective(eng: _Engine, group: _Group, kind: str, parked: List[_RankState]) -> None:
+    ops = [st.op for st in parked]
+    t0 = max(float(eng.clocks[st.grank]) for st in parked)
+    results = collective_results(
+        kind, ops, group.members, eng.deliver,
+        shared=eng.copy_mode == "readonly",
+        open_group=partial(_open_group, eng),
+    )
+    if kind == "exchange":
+        costs = [_exchange_cost(eng, o, inbox) for o, inbox in zip(ops, results)]
+    else:
+        costs = [eng.machine.collective_cost(
+            kind, group.size, _collective_words(kind, ops))] * len(ops)
+    for st, cost, result in zip(parked, costs, results):
+        eng.advance_to(st.grank, t0 + cost)
+        st.send_value = result
+
+
+def _exchange_cost(eng: _Engine, op: _Op, inbox: Dict[int, Any]) -> float:
+    """One rank's share of a halo exchange: its neighbours and the
+    larger of its outgoing and incoming volumes."""
+    msgs = op.value or {}
+    out_words = op.words if op.words is not None \
+        else sum(payload_words(v) for v in msgs.values())
+    in_words = sum(payload_words(v) for v in inbox.values())
+    return eng.machine.exchange_cost(len(msgs), float(out_words), float(in_words))
+
+
+def _open_group(eng: _Engine, members: Tuple[int, ...]) -> List[Comm]:
+    """A split's child communicator: one Comm per member."""
+    g = eng.new_group(members)
+    return [eng.make_comm(g, grank) for grank in members]
 
 
 def _raise_deadlock(eng: _Engine, states: List[_RankState]) -> None:
@@ -1211,20 +891,8 @@ def _raise_deadlock(eng: _Engine, states: List[_RankState]) -> None:
     for st in states:
         if st.status in (_DONE, _DEAD):
             continue
-        op = st.op
         phase = eng.phase[st.grank]
-        if op is None:
-            desc = "running"
-            entry = {"rank": st.grank, "kind": "running", "peer": None,
-                     "tag": None, "comm": None, "phase": phase}
-        elif op.kind == "recv":
-            desc = f"recv(comm={op.cid}, source={op.source}, tag={op.tag})"
-            entry = {"rank": st.grank, "kind": "recv", "peer": op.source,
-                     "tag": op.tag, "comm": op.cid, "phase": phase}
-        else:
-            desc = f"{op.kind}(comm={op.cid})"
-            entry = {"rank": st.grank, "kind": op.kind, "peer": None,
-                     "tag": None, "comm": op.cid, "phase": phase}
+        desc, entry = parked_context(st.grank, st.op, phase)
         parked.append(entry)
         lines.append(f"  rank {st.grank}: waiting on {desc} "
                      f"[phase {phase!r}]")

@@ -9,24 +9,12 @@ travel pickle-free through named ``shared_memory`` segments.  The
 simulated engine is the executable oracle: for a deterministic rank
 program, both backends must produce bit-identical per-rank results and
 identical communication ledgers (asserted by
-``tests/parallel/test_backend_parity.py``).
-
-How parity is achieved
-----------------------
-* **Same op stream.**  Workers reuse the engine's :class:`Comm` and
-  ``_Op`` classes verbatim; the per-process driver interprets the ops a
-  rank yields exactly as the simulator's scheduler does.
-* **Same reduction/collective semantics.**  Each collective is
-  coordinated by the communicator's first member (local rank 0), which
-  validates mismatched kinds/roots with the simulator's error messages
-  and computes results with the engine's own ``_reduce_values`` /
-  ``_copy_payload`` in local-rank order — bit-identical folds.
-* **Same seeding.**  Every worker derives the full per-rank stream list
-  with :func:`~repro.rng.spawn_streams` from the one engine seed, so
-  ``comm.rng`` is the stream the simulator would have handed it.
-* **Same ledger.**  Each member books its own per-phase CommStats
-  exactly as the simulator does (``collective_ops`` counted once, in
-  the coordinator's phase); the parent merges the per-rank columns.
+``tests/parallel/test_backend_parity.py``).  What every op means —
+validation, per-rank results, message faults, ledger booking — lives
+once in :mod:`repro.parallel.ops`, which both executors call; this
+module is only the transport.  Each collective is coordinated by the
+communicator's first member, and every worker re-derives the per-rank
+RNG streams from the one engine seed.
 
 What differs (and is documented in DESIGN §"Execution backends"):
 clocks are *measured wall seconds* (not Hockney-model estimates), so
@@ -75,6 +63,7 @@ from __future__ import annotations
 import glob
 import itertools
 import os
+import pickle
 import queue as _queue
 import re
 import time
@@ -97,18 +86,26 @@ from ..errors import (
 )
 from ..graph.distributed import Shared
 from ..rng import SeedLike, spawn_streams
-from .engine import (
+from .engine import Comm
+from .faults import FaultEvent, FaultPlan
+from .machine import MachineModel, QDR_CLUSTER
+from .ops import (
     _COLLECTIVES,
-    _COPY_MODES,
     _Group,
     _Op,
     _copy_payload,
-    _env_sanitize,
     _op_words,
-    _reduce_values,
+    book_collective,
+    book_recv,
+    book_send,
+    check_collective,
+    check_config,
+    check_yielded,
+    collective_results,
+    env_sanitize,
+    fault_copies,
+    parked_context,
 )
-from .faults import FaultEvent, FaultPlan, corrupt_payload
-from .machine import MachineModel, QDR_CLUSTER
 from .trace import CommStats, DEFAULT_PHASE, PhaseBreakdown, SpmdResult
 
 __all__ = ["run_spmd_procs", "procs_available", "DEFAULT_OP_TIMEOUT",
@@ -385,9 +382,11 @@ class _Heartbeat:
 class _Router:
     """This worker's view of the message fabric.
 
-    One inbound queue per rank; messages are ``(key, words, encoded,
-    due)`` tuples (``due`` is a monotonic not-before time for delayed
-    messages, 0.0 otherwise).  Out-of-order arrivals are buffered per
+    One inbound queue per rank; messages are pickled ``(key, words,
+    encoded, due)`` tuples (``due`` is a monotonic not-before time for
+    delayed messages, 0.0 otherwise).  Pickling happens at the post, so
+    a payload that cannot be shipped fails at the posting rank instead
+    of in the queue's feeder thread.  Out-of-order arrivals are buffered per
     key, preserving per-key FIFO order (the engine's (src, dst, tag,
     comm) delivery contract).  Blocking fetches poll with per-op
     exponential backoff — cheap sub-millisecond first polls for the
@@ -405,8 +404,17 @@ class _Router:
         self._buffer: Dict[Tuple, deque] = {}
 
     def post(self, dst_grank: int, key: Tuple, words: float,
-             encoded: Any, due: float = 0.0) -> None:
-        self.inboxes[dst_grank].put((key, words, encoded, due))
+             encoded: Any, what: str, due: float = 0.0) -> None:
+        """Ship one message; ``what`` names the op in a pickling error."""
+        try:
+            msg = pickle.dumps((key, words, encoded, due),
+                               pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            raise CommError(
+                f"procs backend: rank {self.grank} cannot ship its {what} "
+                f"payload to rank {dst_grank}: {type(exc).__name__}: {exc}"
+            ) from exc
+        self.inboxes[dst_grank].put(msg)
 
     @staticmethod
     def _honor_due(words: float, encoded: Any, due: float):
@@ -437,8 +445,8 @@ class _Router:
                         parked=[parked],
                     )
                 try:
-                    k, words, encoded, due = inbox.get(
-                        timeout=min(remaining, poll))
+                    k, words, encoded, due = pickle.loads(inbox.get(
+                        timeout=min(remaining, poll)))
                 except _queue.Empty:
                     poll = min(poll * 2.0, 0.25)
                     continue
@@ -458,7 +466,7 @@ class _Router:
         inbox = self.inboxes[self.grank]
         while True:
             try:
-                _, _, encoded, _ = inbox.get_nowait()
+                _, _, encoded, _ = pickle.loads(inbox.get_nowait())
             except _queue.Empty:
                 return
             _drain_segments(encoded)
@@ -540,14 +548,13 @@ class _WorkerSide:
             s = self.stats[self.phase] = CommStats.zeros(self.nranks)
         return s
 
-    def make_comm(self, group: _Group, grank: int):
-        from .engine import Comm
-
+    def make_comm(self, group: _Group, grank: int) -> Comm:
         return Comm(self, group, grank)
 
-    def parked_ctx(self, kind: str, peer=None, tag=None, cid=None) -> Dict[str, Any]:
-        return {"rank": self.grank, "kind": kind, "peer": peer,
-                "tag": tag, "comm": cid, "phase": self.phase}
+
+def _as_is(obj: Any) -> Any:
+    """Delivery for the op core: the codec copies per receiver."""
+    return obj
 
 
 def _execute_op(side: _WorkerSide, op: _Op) -> Any:
@@ -555,233 +562,92 @@ def _execute_op(side: _WorkerSide, op: _Op) -> Any:
     group = side.groups[op.cid]
     me = side.grank
     if op.kind == "send":
-        if not (0 <= op.dest < group.size):
-            raise CommError(
-                f"send dest {op.dest} out of range for comm size {group.size}"
-            )
-        gdst = group.members[op.dest]
+        gdst = group.peer(op)
         words = _op_words(op)
         key = ("p", me, op.tag, op.cid)
         fault = None
+        local_index = 0
         if side.faults is not None:
             local_index = side.send_count
             side.send_count = local_index + 1
             fault = side.faults.message_fault(None, sender=me,
                                               sender_index=local_index)
-        if fault is None:
+        copies, detail = fault_copies(fault, op.value, local_index, _as_is)
+        for payload, delay in copies:
+            # a delayed copy carries a wall-clock not-before time that
+            # the receiver honours
             side.router.post(gdst, key, words,
-                             _encode_payload(op.value, side.seg))
-        else:
-            _fault_post(side, gdst, op, key, words, fault, local_index)
-        side.messages += 1
-        side.words_sent += words
-        stats = side.stats_for(me)
-        stats.sends[me] += 1
-        stats.words_sent[me] += words
+                             _encode_payload(payload, side.seg), "send",
+                             due=time.monotonic() + delay if delay else 0.0)
+        if fault is not None:
+            # msg_index is the sender-local ordinal: real processes have
+            # no global send order
+            side.fault_events.append(FaultEvent(
+                kind=fault[0], time=float(side.clocks[me]), rank=me,
+                dest=gdst, tag=op.tag, msg_index=local_index,
+                phase=side.phase, detail=detail,
+            ))
+        book_send(side, me, words)
         return None
     if op.kind == "recv":
-        if not (0 <= op.source < group.size):
-            raise CommError(
-                f"recv source {op.source} out of range for comm size "
-                f"{group.size}"
-            )
-        gsrc = group.members[op.source]
-        desc = f"recv(comm={op.cid}, source={op.source}, tag={op.tag})"
+        gsrc = group.peer(op)
         words, encoded = side.router.fetch(
-            ("p", gsrc, op.tag, op.cid), desc,
-            side.parked_ctx("recv", peer=op.source, tag=op.tag, cid=op.cid),
-        )
-        stats = side.stats_for(me)
-        stats.recvs[me] += 1
-        stats.words_received[me] += words
+            ("p", gsrc, op.tag, op.cid), *parked_context(me, op, side.phase))
+        book_recv(side, me, words)
         return _decode_payload(encoded)
     if op.kind in _COLLECTIVES:
         return _collective(side, group, op)
     raise CommError(f"unhandled op kind {op.kind!r}")  # pragma: no cover
 
 
-def _fault_post(side: _WorkerSide, gdst: int, op: _Op, key: Tuple,
-                words: float, fault: Tuple[str, float],
-                local_index: int) -> None:
-    """Apply one message fault to a posted send (slow path).
-
-    Mirrors the simulator's ``_fault_send``: drop never posts, duplicate
-    posts two independent encodings, delay stamps a wall-clock not-before
-    time honoured by the receiver, corrupt perturbs the same element the
-    simulator would (salted by the sender-local ordinal).  The event's
-    ``msg_index`` is the sender-local ordinal — real processes have no
-    global send order.
-    """
-    kind, delay = fault
-    detail = ""
-    if kind == "drop":
-        pass  # the message is simply never posted
-    elif kind == "duplicate":
-        side.router.post(gdst, key, words,
-                         _encode_payload(op.value, side.seg))
-        side.router.post(gdst, key, words,
-                         _encode_payload(op.value, side.seg))
-    elif kind == "delay":
-        detail = f"delayed by {delay:.6g}s"
-        side.router.post(gdst, key, words,
-                         _encode_payload(op.value, side.seg),
-                         due=time.monotonic() + delay)
-    elif kind == "corrupt":
-        payload, detail = corrupt_payload(op.value, local_index)
-        side.router.post(gdst, key, words,
-                         _encode_payload(payload, side.seg))
-    else:  # pragma: no cover - guarded by MessageFault.__post_init__
-        raise CommError(f"unhandled message-fault kind {kind!r}")
-    side.fault_events.append(FaultEvent(
-        kind=kind, time=float(side.clocks[side.grank]), rank=side.grank,
-        dest=gdst, tag=op.tag, msg_index=local_index, phase=side.phase,
-        detail=detail,
-    ))
-
-
 def _collective(side: _WorkerSide, group: _Group, op: _Op) -> Any:
     """One collective step, coordinated by the group's first member.
 
-    Ledger parity with the simulator's ``_count_collective``: every
-    member books its participation and contributed words in its own
-    phase; the completed operation is counted once, in the
-    coordinator's (local rank 0's) phase.
+    Members ship their contribution to the coordinator — never the
+    reduction op, which the core takes from the first member — and
+    wait for their result; the coordinator validates the step and
+    computes every member's result with :mod:`repro.parallel.ops`.
     """
     cid = group.cid
     seq = side.coll_seq.get(cid, 0)
     side.coll_seq[cid] = seq + 1
     me = side.grank
-    p = group.size
-    stats = side.stats_for(me)
-    stats._coll_array(op.kind)[me] += 1
-    stats.collective_words[me] += _op_words(op)
     coord = group.members[0]
-    desc = f"{op.kind}(comm={cid})"
-    parked = side.parked_ctx(op.kind, cid=cid)
+    book_collective(side, me, op, first=me == coord)
+    desc, parked = parked_context(me, op, side.phase)
     if me != coord:
-        contrib = (op.kind, op.root, op.color, op.key, op.op,
+        contrib = (op.kind, op.root, op.color, op.key,
                    _encode_payload(op.value, side.seg))
-        side.router.post(coord, ("cc", me, seq, cid), 0.0, contrib)
+        side.router.post(coord, ("cc", me, seq, cid), 0.0, contrib, op.kind)
         _, encoded = side.router.fetch(("cr", cid, seq), desc, parked)
         result = _decode_payload(encoded)
-        return _finish_collective(side, group, op, result)
+    else:
+        ops: List[_Op] = [op]
+        for grank in group.members[1:]:
+            _, contrib = side.router.fetch(("cc", grank, seq, cid), desc,
+                                           parked)
+            kind, root, color, key, encoded = contrib
+            ops.append(_Op(kind, cid, value=_decode_payload(encoded),
+                           root=root, color=color, key=key))
+        kind = check_collective(cid, ops)
+        children = itertools.count()
 
-    # ---- coordinator path ----
-    ops: List[_Op] = [op]
-    for i in range(1, p):
-        _, contrib = side.router.fetch(("cc", group.members[i], seq, cid),
-                                       desc, parked)
-        kind, root, color, key, redop, encoded = contrib
-        ops.append(_Op(kind, cid, value=_decode_payload(encoded), root=root,
-                       op=redop, color=color, key=key))
-    kinds = {o.kind for o in ops}
-    if len(kinds) != 1:
-        raise CommError(
-            f"mismatched collectives on comm {cid}: "
-            + ", ".join(f"rank {i}:{o.kind}" for i, o in enumerate(ops))
-        )
-    kind = kinds.pop()
-    if kind in ("bcast", "reduce", "gather", "scatter"):
-        roots = {o.root for o in ops}
-        if len(roots) != 1:
-            raise CommError(f"mismatched roots in {kind} on comm {cid}: {roots}")
-    results = _collective_results(side, group, kind, ops)
-    side.collectives += 1
-    stats = side.stats_for(me)
-    stats.collective_ops[kind] = stats.collective_ops.get(kind, 0) + 1
-    for i in range(1, p):
-        side.router.post(group.members[i], ("cr", cid, seq), 0.0,
-                         _encode_payload(results[i], side.seg))
-    return _finish_collective(side, group, op, _copy_payload(results[0]))
+        def open_group(members: Tuple[int, ...]) -> List[Any]:
+            child = (f"{cid}/{seq}.{next(children)}", members)
+            return [child] * len(members)
 
-
-def _finish_collective(side: _WorkerSide, group: _Group, op: _Op,
-                       result: Any) -> Any:
-    """Post-process a collective result on the receiving member."""
-    if op.kind == "split":
-        if result is None:
-            return None
+        results = collective_results(kind, ops, group.members, _as_is,
+                                     shared=True, open_group=open_group)
+        for i in range(1, group.size):
+            side.router.post(group.members[i], ("cr", cid, seq), 0.0,
+                             _encode_payload(results[i], side.seg),
+                             f"{kind} result")
+        result = _copy_payload(results[0])
+    if op.kind == "split" and result is not None:
         child_cid, members = result
-        child = _Group(child_cid, tuple(members))
-        side.groups[child_cid] = child
-        return side.make_comm(child, side.grank)
+        side.groups[child_cid] = _Group(child_cid, tuple(members))
+        return side.make_comm(side.groups[child_cid], me)
     return result
-
-
-def _collective_results(side: _WorkerSide, group: _Group, kind: str,
-                        ops: List[_Op]) -> List[Any]:
-    """Per-local-rank results, mirroring the simulator's
-    ``_run_collective`` value semantics exactly (delivery copies are the
-    codec's job; folds reuse the engine's own helpers)."""
-    p = group.size
-    if kind == "barrier":
-        return [None] * p
-    if kind == "bcast":
-        rval = ops[ops[0].root].value
-        return [rval] * p
-    if kind == "reduce":
-        red = _reduce_values([o.value for o in ops], ops[0].op)
-        return [red if i == ops[0].root else None for i in range(p)]
-    if kind == "allreduce":
-        red = _reduce_values([o.value for o in ops], ops[0].op)
-        return [red] * p
-    if kind == "scan":
-        results: List[Any] = []
-        acc = None
-        for o in ops:
-            acc = _copy_payload(o.value) if acc is None \
-                else _reduce_values([acc, o.value], o.op)
-            results.append(_copy_payload(acc))
-        return results
-    if kind == "gather":
-        gathered = [o.value for o in ops]
-        return [gathered if i == ops[0].root else None for i in range(p)]
-    if kind == "allgather":
-        items = [o.value for o in ops]
-        return [list(items) for _ in range(p)]
-    if kind == "scatter":
-        vals = ops[ops[0].root].value
-        if vals is None or len(vals) != p:
-            raise CommError(
-                f"scatter root must supply exactly {p} values, got "
-                f"{None if vals is None else len(vals)}"
-            )
-        return list(vals)
-    if kind == "alltoall":
-        for o in ops:
-            if o.value is None or len(o.value) != p:
-                raise CommError(f"alltoall requires {p} values per rank")
-        return [[ops[src].value[dst] for src in range(p)] for dst in range(p)]
-    if kind == "exchange":
-        inboxes: List[Dict[int, Any]] = [dict() for _ in range(p)]
-        for i, o in enumerate(ops):
-            msgs = o.value or {}
-            if not isinstance(msgs, dict):
-                raise CommError("exchange expects a dict {neighbor_rank: payload}")
-            for dst, payload in msgs.items():
-                if not (0 <= dst < p):
-                    raise CommError(f"exchange neighbour {dst} out of range")
-                if dst == i:
-                    raise CommError("exchange to self is not allowed")
-                inboxes[dst][i] = payload
-        return inboxes
-    if kind == "split":
-        granks = list(group.members)
-        by_color: Dict[Any, List[Tuple[int, int, int]]] = {}
-        for i, o in enumerate(ops):
-            if o.color is not None:
-                by_color.setdefault(o.color, []).append((o.key, i, granks[i]))
-        seq = side.coll_seq[group.cid] - 1  # the seq of this split op
-        results: List[Any] = [None] * p
-        for ci, (color, lst) in enumerate(
-                sorted(by_color.items(), key=lambda kv: repr(kv[0]))):
-            lst.sort()
-            child_cid = f"{group.cid}/{seq}.{ci}"
-            members = tuple(grank for _, _, grank in lst)
-            for _, i, _ in lst:
-                results[i] = (child_cid, members)
-        return results
-    raise CommError(f"unhandled collective {kind}")  # pragma: no cover
 
 
 def _drive(side: _WorkerSide, gen, plan: Optional[FaultPlan],
@@ -797,11 +663,7 @@ def _drive(side: _WorkerSide, gen, plan: Optional[FaultPlan],
             side.mark_comp()
             return stop.value
         side.mark_comp()
-        if not isinstance(op, _Op):
-            raise CommError(
-                f"rank {side.grank} yielded {op!r}; rank programs must only "
-                "yield via 'yield from comm.<op>(...)'"
-            )
+        check_yielded(side.grank, op)
         if max_steps is not None and op_index + 1 > max_steps:
             raise BudgetExceededError(
                 f"rank {side.grank} posted more than max_steps={max_steps} "
@@ -876,12 +738,7 @@ def _worker_entry(rank: int, nranks: int, fn, args, kwargs,
 def _validate(nranks: int, copy_mode: str, sanitize: Optional[bool],
               faults: Optional[FaultPlan],
               max_sim_seconds: Optional[float]) -> None:
-    if nranks < 1:
-        raise CommError(f"nranks must be >= 1, got {nranks}")
-    if copy_mode not in _COPY_MODES:
-        raise CommError(
-            f"unknown copy_mode {copy_mode!r}; expected one of {_COPY_MODES}"
-        )
+    check_config(nranks, copy_mode)
     if sanitize:
         raise ConfigError(
             "sanitize=True is simulated-only: the dynamic sanitizer "
@@ -1024,7 +881,7 @@ def run_spmd_procs(
     import multiprocessing as mp
 
     _validate(nranks, copy_mode, sanitize, faults, max_sim_seconds)
-    if sanitize is None and _env_sanitize():
+    if sanitize is None and env_sanitize():
         _warn_env_sanitize_ignored()
     if op_timeout is None:
         op_timeout = DEFAULT_OP_TIMEOUT

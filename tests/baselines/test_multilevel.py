@@ -33,6 +33,17 @@ class TestGGP:
         c8 = greedy_graph_growing(g, seed=4, trials=8).cut_weight
         assert c8 <= c1 + 1e-9
 
+    def test_grows_across_components(self):
+        # two disjoint 30x30 grids plus 100 isolated vertices: a seed in
+        # a small component must not stop growth at its boundary
+        from repro.graph import CSRGraph
+
+        e, _ = grid2d(30, 30).graph.edge_list()
+        g = CSRGraph.from_edges(1900, np.vstack([e, e + 900]))
+        worst = max(greedy_graph_growing(g, seed=s).imbalance
+                    for s in range(200))
+        assert worst <= 0.15
+
 
 class TestBandMask:
     def test_contains_boundary(self):
