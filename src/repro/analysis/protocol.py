@@ -93,8 +93,8 @@ SYMMETRIC_OPS = frozenset({
 })
 
 #: functions whose inner loops are locked in by BENCH_kernels.json —
-#: SP112 enforces the bincount/workspace discipline only here, so the
-#: ``_*_reference`` twins keep their deliberately naive np.add.at
+#: SP112 enforces the bincount/workspace discipline only here (the
+#: naive oracles the kernels are tested against live in tests/oracles)
 HOT_KERNELS = frozenset({
     "attractive_forces",
     "repulsive_forces_lattice",

@@ -273,7 +273,7 @@ def _dist_scalapart(comm, graph, *, coords=None, config=None, seed=None,
     geo = yield from GEOMETRIC_STAGE.run_dist(comm, graph, emb, config, seed)
     side, info = yield from STRIP_REFINE_STAGE.run_dist(comm, graph, geo,
                                                         config, seed)
-    return side, {**info, **emb.info, "pos": emb.coords}
+    return side, {**info, **emb.info}
 
 
 def _dist_sp_pg7_nl(comm, graph, *, coords=None, config=None, seed=None,
@@ -318,7 +318,7 @@ def _dist_kway_geometric(comm, graph, *, coords=None, config=None, seed=None,
         emb = yield from EMBED_STAGE.run_dist(comm, graph, None, config, seed)
         if checkpoint is not None and comm.rank == 0:
             checkpoint.save_artifact("embed", emb)
-        info = {**emb.info, "pos": emb.coords}
+        info = emb.info
         coords = emb
     parts, kinfo = yield from KWAY_GEOMETRIC_STAGE.run_dist(
         comm, graph, coords, config, seed,

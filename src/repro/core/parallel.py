@@ -174,7 +174,7 @@ def _package(
         stage_seconds[root] = agg.elapsed
         phase_comm[root] = agg.comm_fraction
     extras = {
-        **{k: v for k, v in info.items() if k != "pos"},
+        **info,
         "nranks": res.nranks,
         "backend": res.backend,
         "comm_fraction": res.comm_fraction,

@@ -5,6 +5,7 @@ from .fdl import LayoutResult, force_directed_layout, random_positions
 from .forces import (
     DEFAULT_C,
     AttractiveWorkspace,
+    ExactWorkspace,
     attractive_forces,
     repulsive_forces_exact,
     spring_energy,
@@ -41,6 +42,7 @@ __all__ = [
     "random_positions",
     "DEFAULT_C",
     "AttractiveWorkspace",
+    "ExactWorkspace",
     "attractive_forces",
     "repulsive_forces_exact",
     "spring_energy",

@@ -19,6 +19,7 @@ tests use it to pin anchors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -29,10 +30,11 @@ from ..rng import SeedLike, as_generator
 from .forces import (
     DEFAULT_C,
     AttractiveWorkspace,
+    ExactWorkspace,
     attractive_forces,
     repulsive_forces_exact,
 )
-from .quadtree import repulsive_forces_bh
+from .quadtree import BHWorkspace, repulsive_forces_bh
 
 __all__ = ["LayoutResult", "force_directed_layout", "random_positions"]
 
@@ -68,16 +70,16 @@ def random_positions(n: int, seed: SeedLike = None, span: Optional[float] = None
 
 
 def _resolve_repulsion(repulsion: RepulsionLike, n: int):
+    """Kernel for ``repulsion``.  A named kernel gets one workspace for
+    the whole layout call, so the iterations reuse its buffers."""
     if callable(repulsion):
         return repulsion
-    if repulsion == "exact":
-        return lambda pos, m, c, k: repulsive_forces_exact(pos, m, c, k)
-    if repulsion == "bh":
-        return lambda pos, m, c, k: repulsive_forces_bh(pos, m, c, k)
     if repulsion == "auto":
-        if n <= _AUTO_EXACT_CUTOFF:
-            return lambda pos, m, c, k: repulsive_forces_exact(pos, m, c, k)
-        return lambda pos, m, c, k: repulsive_forces_bh(pos, m, c, k)
+        repulsion = "exact" if n <= _AUTO_EXACT_CUTOFF else "bh"
+    if repulsion == "exact":
+        return partial(repulsive_forces_exact, workspace=ExactWorkspace())
+    if repulsion == "bh":
+        return partial(repulsive_forces_bh, workspace=BHWorkspace())
     raise EmbeddingError(f"unknown repulsion scheme {repulsion!r}")
 
 
@@ -151,72 +153,6 @@ def force_directed_layout(
         np.multiply(move, step, out=move)
         pos += move
         # Hu's adaptive schedule
-        if energy < energy_prev:
-            progress += 1
-            if progress >= _PROGRESS_LIMIT:
-                progress = 0
-                step /= _T
-        else:
-            progress = 0
-            step *= _T
-        energy_prev = energy
-        if step < tol * k:
-            converged = True
-            break
-    return LayoutResult(pos, it, converged, step, energy)
-
-
-def _force_directed_layout_reference(
-    graph: CSRGraph,
-    pos0: np.ndarray,
-    *,
-    masses: Optional[np.ndarray] = None,
-    c: float = DEFAULT_C,
-    k: float = 1.0,
-    max_iters: int = 100,
-    tol: float = 1e-3,
-    step0: Optional[float] = None,
-    repulsion: RepulsionLike = "auto",
-    fixed: Optional[np.ndarray] = None,
-) -> LayoutResult:
-    """Pre-optimisation layout loop (fresh temporaries every iteration,
-    ``np.add.at`` attraction), kept temporarily so the test suite can
-    assert the workspace-backed loop is bit-identical."""
-    from .forces import _attractive_forces_reference
-
-    n = graph.num_vertices
-    pos = np.array(pos0, dtype=np.float64, copy=True)
-    if pos.shape != (n, 2):
-        raise EmbeddingError(f"pos0 must be ({n}, 2), got {pos.shape}")
-    if max_iters < 0:
-        raise EmbeddingError("max_iters must be nonnegative")
-    if masses is None:
-        masses = graph.vwgt
-    masses = np.asarray(masses, dtype=np.float64)
-    if fixed is not None:
-        fixed = np.asarray(fixed, dtype=bool)
-        if fixed.shape != (n,):
-            raise EmbeddingError("fixed mask must have one entry per vertex")
-        if fixed.all():
-            return LayoutResult(pos, 0, True, 0.0, 0.0)
-    rep = _resolve_repulsion(repulsion, n)
-
-    step = float(step0) if step0 is not None else k
-    energy_prev = np.inf
-    progress = 0
-    converged = False
-    it = 0
-    energy = 0.0
-    for it in range(1, max_iters + 1):
-        f = _attractive_forces_reference(graph, pos, k) + rep(pos, masses, c, k)
-        if fixed is not None:
-            f[fixed] = 0.0
-        norms = np.sqrt((f * f).sum(axis=1))
-        energy = float((norms * norms).sum())
-        move = np.zeros_like(pos)
-        active = norms > 1e-300
-        move[active] = f[active] / norms[active, None] * step
-        pos += move
         if energy < energy_prev:
             progress += 1
             if progress >= _PROGRESS_LIMIT:

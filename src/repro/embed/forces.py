@@ -33,6 +33,7 @@ from ..graph.csr import CSRGraph
 __all__ = [
     "DEFAULT_C",
     "AttractiveWorkspace",
+    "ExactWorkspace",
     "attractive_forces",
     "repulsive_forces_exact",
     "spring_energy",
@@ -122,27 +123,49 @@ def attractive_forces(
     return out
 
 
-def _attractive_forces_reference(
-    graph: CSRGraph, pos: np.ndarray, k: float = 1.0
-) -> np.ndarray:
-    """Pre-optimisation implementation (``np.add.at`` scatter), kept
-    temporarily so the test suite can assert the rewritten kernel is
-    bit-identical on every graph family."""
+class ExactWorkspace:
+    """Reusable scratch for :func:`repulsive_forces_exact`.
+
+    Holds four ``(n, n)`` pair matrices and the ``(n, 2)`` output.
+    Buffers grow on demand and are kept when the request shrinks; views
+    of the right size are sliced out per call, so the layout loop on
+    the coarsest graph stops allocating (and first-touching) n²
+    temporaries every iteration.
+    """
+
+    __slots__ = ("_cap", "_pair", "_out")
+
+    #: pair matrices: tx, ty, r2, w
+    _N_PAIR = 4
+
+    def __init__(self) -> None:
+        self._cap = 0
+        self._pair = None
+        self._out = None
+
+    def bind(self, n: int):
+        if n > self._cap:
+            self._pair = np.empty((self._N_PAIR, n * n))
+            self._out = np.empty((n, 2))
+            self._cap = n
+        return (
+            tuple(self._pair[i, : n * n].reshape(n, n) for i in range(self._N_PAIR)),
+            self._out[:n],
+        )
+
+
+def _check_repulsion_args(pos, masses) -> tuple:
+    """Shared argument validation of the repulsion kernels."""
     pos = np.asarray(pos, dtype=np.float64)
-    n = graph.num_vertices
-    if pos.shape != (n, 2):
-        raise EmbeddingError(f"pos must be ({n}, 2), got {pos.shape}")
-    if k <= 0:
-        raise EmbeddingError("K must be positive")
-    src = graph.edge_sources()
-    dst = graph.indices
-    d = pos[dst] - pos[src]
-    dist = np.sqrt((d * d).sum(axis=1))
-    mag = dist / k * graph.ewgt
-    f = d * mag[:, None]
-    out = np.zeros((n, 2))
-    np.add.at(out, src, f)
-    return out
+    if pos.ndim != 2 or (pos.shape[0] and pos.shape[1] != 2):
+        raise EmbeddingError(f"pos must be (n, 2), got {pos.shape}")
+    n = pos.shape[0]
+    if masses is None:
+        masses = np.ones(n)
+    masses = np.asarray(masses, dtype=np.float64)
+    if masses.shape != (n,):
+        raise EmbeddingError(f"masses must be ({n},), got {masses.shape}")
+    return pos, masses
 
 
 def repulsive_forces_exact(
@@ -150,22 +173,45 @@ def repulsive_forces_exact(
     masses: Optional[np.ndarray] = None,
     c: float = DEFAULT_C,
     k: float = 1.0,
+    *,
+    workspace: Optional[ExactWorkspace] = None,
 ) -> np.ndarray:
     """All-pairs repulsion (O(n²), vectorised): ground truth for the
     Barnes–Hut and fixed-lattice approximations, and the scheme actually
-    used on the (small) coarsest graph."""
-    pos = np.asarray(pos, dtype=np.float64)
+    used on the (small) coarsest graph.
+
+    The pair matrices are laid out ``[j, i]`` — the summed-over point on
+    axis 0 — so the j-sum is a sequential axis-0 fold over contiguous
+    rows, the summation order of an ``(n, n, 2).sum(axis=1)`` over
+    ``d[i, j] = c_i − c_j`` (DESIGN §11).  With a ``workspace`` the
+    kernel is allocation-free; the returned array lives in the
+    workspace and is overwritten by the next call.
+    """
+    pos, masses = _check_repulsion_args(pos, masses)
     n = pos.shape[0]
-    if masses is None:
-        masses = np.ones(n)
-    masses = np.asarray(masses, dtype=np.float64)
     if n == 0:
         return np.zeros((0, 2))
-    d = pos[:, None, :] - pos[None, :, :]  # d[i,j] = ci - cj
-    r2 = (d * d).sum(axis=2) + _EPS2
+    ws = workspace if workspace is not None else ExactWorkspace()
+    (tx, ty, r2, w), out = ws.bind(n)
+    x = np.ascontiguousarray(pos[:, 0])
+    y = np.ascontiguousarray(pos[:, 1])
+    # tx[j, i] = x_i − x_j
+    np.subtract(x[None, :], x[:, None], out=tx)
+    np.subtract(y[None, :], y[:, None], out=ty)
+    np.multiply(tx, tx, out=r2)
+    np.multiply(ty, ty, out=w)
+    np.add(r2, w, out=r2)
+    np.add(r2, _EPS2, out=r2)
     np.fill_diagonal(r2, np.inf)
-    scale = c * k * k * (masses[:, None] * masses[None, :]) / r2
-    return (d * scale[:, :, None]).sum(axis=1)
+    # w[j, i] = C K² (μ_i μ_j) / r2, folded as C·K·K first
+    np.multiply(masses[:, None], masses[None, :], out=w)
+    np.multiply(c * k * k, w, out=w)
+    np.divide(w, r2, out=w)
+    np.multiply(tx, w, out=tx)
+    np.add.reduce(tx, axis=0, out=out[:, 0])
+    np.multiply(ty, w, out=ty)
+    np.add.reduce(ty, axis=0, out=out[:, 1])
+    return out
 
 
 def spring_energy(

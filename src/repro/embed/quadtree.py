@@ -21,13 +21,28 @@ the pair becomes well separated — which is the Barnes–Hut opening rule
 with θ ≈ 1.  Accuracy is validated against
 :func:`repro.embed.forces.repulsive_forces_exact` in the test suite.
 
-Performance notes (DESIGN §11): the 36 interaction-list passes per
-level share one set of per-vertex scratch buffers (a
-:class:`BHWorkspace`, reusable across calls) instead of allocating
-fresh ``where``/gather temporaries in each, and the pass offsets
-``tx = 2·(px+dx)+a = 2·px + (2·dx+a)`` are folded into a precomputed
-offset table applied to a per-level ``2·px`` base.  Accumulation order
-is unchanged, so forces are bit-identical to the allocating kernel.
+Performance notes (DESIGN §11): at the sizes the coarsest graph has
+(hundreds to a few thousand points) a per-pass kernel is bound by numpy
+call overhead, not arithmetic, so here every numpy call does a block of
+work.  For a block of up to ``_BLOCK`` vertices, one level's far-field
+passes run together on ``(27, w)`` arrays:
+
+* pass targets ``tx = 2·(px+dx)+a = 2·px + ox`` come from an offset
+  table added to a per-vertex ``2·px`` base;
+* the 9 of 36 passes that land in the own 3×3 ring depend only on the
+  cell's parity bits, so each parity class keeps its 27 far passes
+  (in pass order) and the ring mask disappears;
+* every grid carries an empty rim of ``_PAD`` cells, so out-of-range
+  targets read zero mass and need no range mask.
+
+Each block is folded onto the running sum by one sequential axis-0
+``np.add.reduce`` over ``[acc; C_0 … C_26]``, which keeps the per-pass
+accumulation order; the 9 near-field passes of a block share one
+``bincount`` over ``pass·w + i``.  A dropped or out-of-range pass only
+ever added ±0 to a sum that is never −0, so forces stay bit-identical to
+the per-pass kernel (``tests/oracles/embed.py``).  Scratch lives in a
+:class:`BHWorkspace` and is O(n) per-vertex rows plus O(27·``_BLOCK``)
+block buffers, whatever the level count.
 """
 
 from __future__ import annotations
@@ -37,13 +52,27 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import EmbeddingError
-from .forces import DEFAULT_C, _EPS2, repulsive_forces_exact
+from .forces import (
+    DEFAULT_C,
+    _EPS2,
+    ExactWorkspace,
+    _check_repulsion_args,
+    repulsive_forces_exact,
+)
 
 __all__ = ["BHWorkspace", "repulsive_forces_bh"]
 
 #: Below this size the exact sum is both faster and exact.
 _EXACT_CUTOFF = 128
+
+#: Widest vertex block of the batched passes: block scratch is
+#: ``(27, _BLOCK)`` per buffer whatever n is.
+_BLOCK = 4096
+
+#: Rim of empty cells around every level's grid, wide enough for the
+#: farthest pass target (``2·px − 2`` .. ``2·px + 3``), so target ids
+#: never need a range check.
+_PAD = 2
 
 #: Interaction-list pass offsets (ox, oy) with ox = 2·dx + a, oy = 2·dy + b,
 #: in the exact nesting order of the original four loops (dy, dx, b, a) —
@@ -57,42 +86,93 @@ _PASS_OFFSETS = tuple(
 )
 
 
+def _far_offsets(ax: int, ay: int):
+    """Pass offsets that leave the own 3×3 ring of a cell with parity
+    bits ``(ax, ay)``, in pass order.  The target of pass (ox, oy) is
+    ``2·px + ox = cx − ax + ox``, so ring membership depends on the
+    parity alone; every parity keeps 27 of the 36 passes."""
+    return [(ox, oy) for ox, oy in _PASS_OFFSETS
+            if max(abs(ox - ax), abs(oy - ay)) > 1]
+
+
+#: ``_FAR_OX[q, par]``: padded x offset of the q-th far pass of a cell
+#: with parity ``par = (cx & 1) + 2·(cy & 1)``; likewise ``_FAR_OY``.
+_FAR = [_far_offsets(ax, ay) for ay in (0, 1) for ax in (0, 1)]
+_FAR_OX = np.array([[o[0] for o in f] for f in _FAR], dtype=np.int64).T + _PAD
+_FAR_OY = np.array([[o[1] for o in f] for f in _FAR], dtype=np.int64).T + _PAD
+_NFAR = _FAR_OX.shape[0]
+
+#: Near-field neighbour offsets, in the original (dy, dx) loop order.
+_NEAR_DX = np.array([dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])[:, None]
+_NEAR_DY = np.array([dy for dy in (-1, 0, 1) for dx in (-1, 0, 1)])[:, None]
+_NNEAR = _NEAR_DX.shape[0]
+
+
 class BHWorkspace:
-    """Reusable per-vertex scratch for :func:`repulsive_forces_bh`.
+    """Reusable scratch for :func:`repulsive_forces_bh`.
 
     One workspace serves any point count: buffers grow on demand and
     persist across calls, so repeated Barnes–Hut evaluations (the
     ``"bh"`` smoothing loop) stop paying allocation and first-touch
-    page-fault cost for ~10 temporaries per pass.
+    page-fault cost.  Per-vertex rows are O(n); the pass blocks are
+    ``(27, w)`` with ``w ≤ _BLOCK`` columns, so block scratch stays
+    bounded however large the graph.  At or below ``_EXACT_CUTOFF``
+    points the kernel falls back to the exact sum, which keeps its own
+    workspace in :attr:`exact`.
     """
 
-    __slots__ = ("_cap", "_i64", "_f64", "_bool", "_out")
+    __slots__ = ("_cap", "_wcap", "_vi", "_out", "_bi", "_bf", "_stack",
+                 "exact")
 
-    #: int64 rows: cell-x, cell-y, 2·px, 2·py, tx, ty, tid, |t-c| scratch
-    _N_I64 = 8
-    #: float rows: m, ddx, ddy, r2, scale, gather scratch
-    _N_F64 = 6
+    #: (27, w) float blocks: m, ddx, ddy, r2
+    _N_BF = 4
 
     def __init__(self) -> None:
         self._cap = 0
-        self._i64 = None
-        self._f64 = None
-        self._bool = None
-        self._out = None
+        self._wcap = 0
+        self.exact = ExactWorkspace()
 
-    def bind(self, n: int):
+    def bind(self, n: int, w: int):
+        """Two int64 vertex rows and the ``(n, 2)`` output, sized for
+        ``n`` points and pass blocks up to ``w`` columns wide."""
         if n > self._cap:
-            self._i64 = np.empty((self._N_I64, n), dtype=np.int64)
-            self._f64 = np.empty((self._N_F64, n))
-            self._bool = np.empty((2, n), dtype=bool)
+            self._vi = np.empty((2, n), dtype=np.int64)
             self._out = np.empty((n, 2))
             self._cap = n
+        if w > self._wcap:
+            self._bi = np.empty(_NFAR * w, dtype=np.int64)
+            self._bf = np.empty((self._N_BF, _NFAR * w))
+            self._stack = np.empty((_NFAR + 1) * w)
+            self._wcap = w
+        return self._vi[0, :n], self._vi[1, :n], self._out[:n]
+
+    def blocks(self, w: int):
+        """``(27, w)`` target-id and float views and the ``(28, w)`` fold
+        stack, carved out of the bound buffers."""
+        size = _NFAR * w
         return (
-            tuple(self._i64[i, :n] for i in range(self._N_I64)),
-            tuple(self._f64[i, :n] for i in range(self._N_F64)),
-            (self._bool[0, :n], self._bool[1, :n]),
-            self._out[:n],
+            self._bi[:size].reshape(_NFAR, w),
+            tuple(f[:size].reshape(_NFAR, w) for f in self._bf),
+            self._stack[: size + w].reshape(_NFAR + 1, w),
         )
+
+
+def _block_bounds(n: int):
+    """Even split of ``range(n)`` into blocks of at most ``_BLOCK``
+    columns, plus the widest block.  Blocks are at least
+    ``min(n, _BLOCK // 2)`` wide, never one column: a ``(28, 1)`` stack
+    would reduce as a 1-D pairwise sum and break the sequential fold
+    order."""
+    nb = -(-n // _BLOCK)
+    edges = [i * n // nb for i in range(nb + 1)]
+    return list(zip(edges[:-1], edges[1:])), -(-n // nb)
+
+
+def _fold(stack: np.ndarray, acc: np.ndarray) -> None:
+    """``acc += stack[1] ; acc += stack[2] ; …`` in row order: one
+    sequential axis-0 reduction over ``[acc; rows]``."""
+    stack[0] = acc
+    np.add.reduce(stack, axis=0, out=acc)
 
 
 def repulsive_forces_bh(
@@ -109,19 +189,15 @@ def repulsive_forces_bh(
 
     ``leaf_target`` is the average number of points per finest-level
     cell (smaller = more exact near-field work, higher accuracy).
-    With a ``workspace`` the far-field passes are allocation-free; the
-    returned array lives in the workspace and is overwritten by the
+    With a ``workspace`` the pass blocks reuse its buffers across calls;
+    the returned array lives in the workspace and is overwritten by the
     next call.
     """
-    pos = np.asarray(pos, dtype=np.float64)
+    pos, masses = _check_repulsion_args(pos, masses)
     n = pos.shape[0]
-    if pos.ndim != 2 or (n and pos.shape[1] != 2):
-        raise EmbeddingError(f"pos must be (n, 2), got {pos.shape}")
-    if masses is None:
-        masses = np.ones(n)
-    masses = np.asarray(masses, dtype=np.float64)
     if n <= _EXACT_CUTOFF:
-        return repulsive_forces_exact(pos, masses, c, k)
+        exact_ws = workspace.exact if workspace is not None else None
+        return repulsive_forces_exact(pos, masses, c, k, workspace=exact_ws)
 
     # square bounding box (equal cell aspect keeps the opening rule honest)
     lo = pos.min(axis=0)
@@ -130,16 +206,16 @@ def repulsive_forces_bh(
 
     finest = min(max_level, max(2, math.ceil(math.log(n / leaf_target, 4))))
 
+    bounds, wmax = _block_bounds(n)
     ws = workspace if workspace is not None else BHWorkspace()
-    ints, flts, bools, out = ws.bind(n)
-    cellx, celly, pxs, pys, tx, ty, tid, habs = ints
-    m, ddx, ddy, r2, scale, gat = flts
-    valid, nvalid = bools
+    base, par, out = ws.bind(n, wmax)
     posx = np.ascontiguousarray(pos[:, 0])
     posy = np.ascontiguousarray(pos[:, 1])
-    cmass = ck2 * masses  # reference folds (ck2 * masses) first
-    outx = np.zeros(n)
-    outy = np.zeros(n)
+    cmass = ck2 * masses  # the oracle folds (ck2 * masses) first
+    mx = masses * posx
+    my = masses * posy
+    out.fill(0.0)
+    outx, outy = out[:, 0], out[:, 1]
 
     # integer cell coordinates at the finest level; coarser levels shift
     cell = np.clip(((pos - lo) / span * (1 << finest)).astype(np.int64),
@@ -147,186 +223,75 @@ def repulsive_forces_bh(
 
     for level in range(2, finest + 1):
         s = 1 << level
+        ps = s + 2 * _PAD
         shift = finest - level
-        np.right_shift(cell[:, 0], shift, out=cellx)
-        np.right_shift(cell[:, 1], shift, out=celly)
-        cid = celly * s + cellx
-        mass = np.bincount(cid, weights=masses, minlength=s * s)
-        comx = np.bincount(cid, weights=masses * posx, minlength=s * s)
-        comy = np.bincount(cid, weights=masses * posy, minlength=s * s)
+        cx = cell[:, 0] >> shift
+        cy = cell[:, 1] >> shift
+        # cell statistics on the padded grid: rim cells stay empty
+        cid = (cy + _PAD) * ps + (cx + _PAD)
+        mass = np.bincount(cid, weights=masses, minlength=ps * ps)
+        comx = np.bincount(cid, weights=mx, minlength=ps * ps)
+        comy = np.bincount(cid, weights=my, minlength=ps * ps)
         nz = mass > 0
         comx[nz] /= mass[nz]
         comy[nz] /= mass[nz]
-        # 2·px = 2·(cx >> 1): the per-level base the pass offsets add to
-        np.right_shift(cellx, 1, out=pxs)
-        np.left_shift(pxs, 1, out=pxs)
-        np.right_shift(celly, 1, out=pys)
-        np.left_shift(pys, 1, out=pys)
-        for ox, oy in _PASS_OFFSETS:
-            np.add(pxs, ox, out=tx)
-            np.add(pys, oy, out=ty)
-            # valid: target inside the grid and outside the own 3×3 ring
-            np.logical_and(tx >= 0, tx < s, out=valid)
-            np.logical_and(valid, ty >= 0, out=valid)
-            np.logical_and(valid, ty < s, out=valid)
-            np.subtract(tx, cellx, out=tid)
-            np.abs(tid, out=tid)
-            np.subtract(ty, celly, out=habs)
-            np.abs(habs, out=habs)
-            np.maximum(tid, habs, out=habs)
-            np.logical_and(valid, habs > 1, out=valid)
-            if not valid.any():
-                continue
-            np.logical_not(valid, out=nvalid)
-            np.multiply(ty, s, out=tid)
-            np.add(tid, tx, out=tid)
-            np.copyto(tid, 0, where=nvalid)
-            np.take(mass, tid, out=m)
-            np.copyto(m, 0.0, where=nvalid)
-            np.take(comx, tid, out=gat)
-            np.subtract(posx, gat, out=ddx)
-            np.take(comy, tid, out=gat)
-            np.subtract(posy, gat, out=ddy)
+        # per-vertex base 2·py·ps + 2·px and parity (cx & 1) + 2·(cy & 1)
+        np.multiply(cy & -2, ps, out=base)
+        np.add(base, cx & -2, out=base)
+        np.bitwise_and(cx, 1, out=par)
+        np.add(par, (cy & 1) << 1, out=par)
+        off = _FAR_OY * ps + _FAR_OX
+        for b0, b1 in bounds:
+            w = b1 - b0
+            tid, (m, ddx, ddy, r2), stack = ws.blocks(w)
+            terms = stack[1:]
+            # target of far pass q: padded id of (2·px + ox, 2·py + oy)
+            np.take(off, par[b0:b1], axis=1, out=tid, mode="clip")
+            np.add(tid, base[None, b0:b1], out=tid)
+            np.take(mass, tid, out=m, mode="clip")
+            np.take(comx, tid, out=ddx, mode="clip")
+            np.subtract(posx[None, b0:b1], ddx, out=ddx)
+            np.take(comy, tid, out=ddy, mode="clip")
+            np.subtract(posy[None, b0:b1], ddy, out=ddy)
             np.multiply(ddx, ddx, out=r2)
-            np.multiply(ddy, ddy, out=scale)
-            np.add(r2, scale, out=r2)
+            np.multiply(ddy, ddy, out=terms)
+            np.add(r2, terms, out=r2)
             np.add(r2, _EPS2, out=r2)
-            np.multiply(cmass, m, out=scale)
-            np.divide(scale, r2, out=scale)
-            np.multiply(scale, ddx, out=gat)
-            np.add(outx, gat, out=outx)
-            np.multiply(scale, ddy, out=gat)
-            np.add(outy, gat, out=outy)
+            np.multiply(cmass[None, b0:b1], m, out=m)
+            np.divide(m, r2, out=m)
+            np.multiply(m, ddx, out=terms)
+            _fold(stack, outx[b0:b1])
+            np.multiply(m, ddy, out=terms)
+            _fold(stack, outy[b0:b1])
 
-    # exact near field over the finest-level 3x3 neighbourhood
-    s = 1 << finest
-    cx, cy = cell[:, 0], cell[:, 1]
-    cid = cy * s + cx
+    # exact near field over the finest-level 3x3 neighbourhood; cid is
+    # the padded finest-level id, so rim neighbours count zero points
     order = np.argsort(cid, kind="stable")
-    counts = np.bincount(cid, minlength=s * s)
+    counts = np.bincount(cid, minlength=ps * ps)
     starts = np.concatenate([[0], np.cumsum(counts)])
-    arange_n = np.arange(n)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            np.add(cx, dx, out=tx)
-            np.add(cy, dy, out=ty)
-            np.logical_and(tx >= 0, tx < s, out=valid)
-            np.logical_and(valid, ty >= 0, out=valid)
-            np.logical_and(valid, ty < s, out=valid)
-            np.logical_not(valid, out=nvalid)
-            np.multiply(ty, s, out=tid)
-            np.add(tid, tx, out=tid)
-            np.copyto(tid, 0, where=nvalid)
-            np.take(counts, tid, out=habs)
-            np.copyto(habs, 0, where=nvalid)
-            seg_cnt = habs
-            total = int(seg_cnt.sum())
-            if total == 0:
-                continue
-            i_idx = np.repeat(arange_n, seg_cnt)
-            base = np.cumsum(seg_cnt) - seg_cnt
-            within = np.arange(total) - np.repeat(base, seg_cnt)
-            j_idx = order[np.repeat(starts[tid], seg_cnt) + within]
-            keep = i_idx != j_idx
-            i_idx, j_idx = i_idx[keep], j_idx[keep]
-            d = pos[i_idx] - pos[j_idx]
-            r2n = (d * d).sum(axis=1) + _EPS2
-            sc = ck2 * masses[i_idx] * masses[j_idx] / r2n
-            outx += np.bincount(i_idx, weights=sc * d[:, 0], minlength=n)
-            outy += np.bincount(i_idx, weights=sc * d[:, 1], minlength=n)
-    out[:, 0] = outx
-    out[:, 1] = outy
-    return out
-
-
-def _repulsive_forces_bh_reference(
-    pos: np.ndarray,
-    masses: Optional[np.ndarray] = None,
-    c: float = DEFAULT_C,
-    k: float = 1.0,
-    leaf_target: float = 2.0,
-    max_level: int = 12,
-) -> np.ndarray:
-    """Pre-optimisation Barnes–Hut kernel (fresh ``where``/``repeat``
-    temporaries in each of the 36 passes), kept temporarily for the
-    bit-exactness tests."""
-    pos = np.asarray(pos, dtype=np.float64)
-    n = pos.shape[0]
-    if pos.ndim != 2 or (n and pos.shape[1] != 2):
-        raise EmbeddingError(f"pos must be (n, 2), got {pos.shape}")
-    if masses is None:
-        masses = np.ones(n)
-    masses = np.asarray(masses, dtype=np.float64)
-    if n <= _EXACT_CUTOFF:
-        return repulsive_forces_exact(pos, masses, c, k)
-
-    lo = pos.min(axis=0)
-    span = float(max((pos.max(axis=0) - lo).max(), 1e-12)) * (1 + 1e-9)
-    ck2 = c * k * k
-
-    finest = min(max_level, max(2, math.ceil(math.log(n / leaf_target, 4))))
-    out = np.zeros((n, 2))
-
-    cell = np.clip(((pos - lo) / span * (1 << finest)).astype(np.int64),
-                   0, (1 << finest) - 1)
-
-    for level in range(2, finest + 1):
-        s = 1 << level
-        cx = cell[:, 0] >> (finest - level)
-        cy = cell[:, 1] >> (finest - level)
-        cid = cy * s + cx
-        mass = np.bincount(cid, weights=masses, minlength=s * s)
-        comx = np.bincount(cid, weights=masses * pos[:, 0], minlength=s * s)
-        comy = np.bincount(cid, weights=masses * pos[:, 1], minlength=s * s)
-        nz = mass > 0
-        comx[nz] /= mass[nz]
-        comy[nz] /= mass[nz]
-        px, py = cx >> 1, cy >> 1
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                for b in (0, 1):
-                    for a in (0, 1):
-                        tx = ((px + dx) << 1) + a
-                        ty = ((py + dy) << 1) + b
-                        valid = (
-                            (tx >= 0) & (tx < s) & (ty >= 0) & (ty < s)
-                            & (np.maximum(np.abs(tx - cx), np.abs(ty - cy)) > 1)
-                        )
-                        if not valid.any():
-                            continue
-                        tid = np.where(valid, ty * s + tx, 0)
-                        m = np.where(valid, mass[tid], 0.0)
-                        ddx = pos[:, 0] - comx[tid]
-                        ddy = pos[:, 1] - comy[tid]
-                        r2 = ddx * ddx + ddy * ddy + _EPS2
-                        scale = ck2 * masses * m / r2
-                        out[:, 0] += scale * ddx
-                        out[:, 1] += scale * ddy
-
-    s = 1 << finest
-    cx, cy = cell[:, 0], cell[:, 1]
-    cid = cy * s + cx
-    order = np.argsort(cid, kind="stable")
-    counts = np.bincount(cid, minlength=s * s)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            tx, ty = cx + dx, cy + dy
-            valid = (tx >= 0) & (tx < s) & (ty >= 0) & (ty < s)
-            tid = np.where(valid, ty * s + tx, 0)
-            seg_cnt = np.where(valid, counts[tid], 0)
-            total = int(seg_cnt.sum())
-            if total == 0:
-                continue
-            i_idx = np.repeat(np.arange(n), seg_cnt)
-            base = np.cumsum(seg_cnt) - seg_cnt
-            within = np.arange(total) - np.repeat(base, seg_cnt)
-            j_idx = order[np.repeat(starts[tid], seg_cnt) + within]
-            keep = i_idx != j_idx
-            i_idx, j_idx = i_idx[keep], j_idx[keep]
-            d = pos[i_idx] - pos[j_idx]
-            r2 = (d * d).sum(axis=1) + _EPS2
-            scale = ck2 * masses[i_idx] * masses[j_idx] / r2
-            out[:, 0] += np.bincount(i_idx, weights=scale * d[:, 0], minlength=n)
-            out[:, 1] += np.bincount(i_idx, weights=scale * d[:, 1], minlength=n)
+    near_off = _NEAR_DY * ps + _NEAR_DX
+    for b0, b1 in bounds:
+        w = b1 - b0
+        nbr = cid[None, b0:b1] + near_off  # (9, w), pass-major
+        seg = counts[nbr].ravel()
+        total = int(seg.sum())
+        if total == 0:
+            continue
+        rows = np.repeat(np.arange(_NNEAR * w), seg)
+        first = np.cumsum(seg) - seg
+        j_idx = order[np.repeat(starts[nbr].ravel() - first, seg)
+                      + np.arange(total)]
+        i_idx = rows % w + b0
+        keep = i_idx != j_idx
+        rows, i_idx, j_idx = rows[keep], i_idx[keep], j_idx[keep]
+        dx = posx[i_idx] - posx[j_idx]
+        dy = posy[i_idx] - posy[j_idx]
+        sc = cmass[i_idx] * masses[j_idx] / (dx * dx + dy * dy + _EPS2)
+        stack = ws.blocks(w)[-1][: _NNEAR + 1]
+        stack[1:] = np.bincount(rows, weights=sc * dx,
+                                minlength=_NNEAR * w).reshape(_NNEAR, w)
+        _fold(stack, outx[b0:b1])
+        stack[1:] = np.bincount(rows, weights=sc * dy,
+                                minlength=_NNEAR * w).reshape(_NNEAR, w)
+        _fold(stack, outy[b0:b1])
     return out

@@ -77,6 +77,14 @@ class TestRepulsiveExact:
         f = repulsive_forces_exact(np.zeros((3, 2)))
         assert np.isfinite(f).all()
 
+    def test_bad_shape(self):
+        with pytest.raises(EmbeddingError, match=r"pos must be \(n, 2\)"):
+            repulsive_forces_exact(np.zeros((4, 3)))
+
+    def test_masses_length_mismatch(self):
+        with pytest.raises(EmbeddingError, match=r"masses must be \(4,\)"):
+            repulsive_forces_exact(np.zeros((4, 2)), np.ones(3))
+
 
 class TestBarnesHut:
     def relative_error(self, n, seed, clustered=False):
@@ -118,6 +126,12 @@ class TestBarnesHut:
     def test_bad_shape(self):
         with pytest.raises(EmbeddingError):
             repulsive_forces_bh(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("n", [50, 300], ids=["exact-fallback", "tree"])
+    def test_masses_length_mismatch(self, n):
+        pos = np.random.default_rng(6).random((n, 2))
+        with pytest.raises(EmbeddingError, match=rf"masses must be \({n},\)"):
+            repulsive_forces_bh(pos, np.ones(n + 1))
 
 
 class TestLattice:

@@ -205,8 +205,10 @@ class TestEngineInjection:
             yield from comm.barrier()
             return None
 
+        # the sanitizer turns this warning into a CommError; pin it off
+        # so the test holds under REPRO_SANITIZE=1 as well
         with pytest.warns(CommWarning, match=r"rank 0 -> rank 1.*tag=9"):
-            run0(prog, 2)
+            run0(prog, 2, sanitize=False)
 
 
 class TestBudgets:

@@ -289,12 +289,14 @@ class TestProcsMessageFaults:
         both backends and produces identical (corrupted) results."""
         plan = FaultPlan(seed=9, messages=(
             MessageFault("corrupt", 2, rank=1),))
-        sim = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan)
+        # procs never sanitizes; pin sim to match under REPRO_SANITIZE=1
+        sim = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
+                       sanitize=False)
         prc = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
                        backend="procs", op_timeout=60.0)
         assert sim.values == prc.values
         assert _event_sites(sim) == _event_sites(prc) != []
-        clean = run_spmd(_chatty_ring, 4, machine=ZERO_COST)
+        clean = run_spmd(_chatty_ring, 4, machine=ZERO_COST, sanitize=False)
         assert sim.values != clean.values  # the corruption was observed
 
     def test_scheduled_delay_is_harmless_and_recorded(self):
@@ -316,7 +318,8 @@ class TestProcsMessageFaults:
         with warnings.catch_warnings():
             # sim warns about undelivered duplicate copies at completion
             warnings.simplefilter("ignore", CommWarning)
-            sim = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan)
+            sim = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
+                           sanitize=False)
         prc = run_spmd(_chatty_ring, 4, machine=ZERO_COST, faults=plan,
                        backend="procs", op_timeout=60.0)
         assert sim.values == prc.values
