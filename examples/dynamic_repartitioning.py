@@ -18,8 +18,7 @@ Run:  python examples/dynamic_repartitioning.py
 
 import numpy as np
 
-from repro.core import ScalaPartConfig
-from repro.core.parallel import rcb_parallel, sp_pg7_nl_parallel
+from repro.core import ScalaPartConfig, run_parallel
 from repro.graph import Bisection
 from repro.graph.generators import delaunay_mesh
 
@@ -29,7 +28,7 @@ rng = np.random.default_rng(11)
 # --- step 1: initial mesh and partition -------------------------------
 pts = rng.random((3000, 2))
 mesh = delaunay_mesh(pts, "step0")
-initial = sp_pg7_nl_parallel(mesh.graph, mesh.coords, P, seed=1)
+initial = run_parallel("SP-PG7-NL", mesh.graph, P, coords=mesh.coords, seed=1)
 print(f"step 0: n={mesh.graph.num_vertices:6d}  cut={initial.cut_size:4d}  "
       f"imbalance={initial.imbalance:.3f}")
 
@@ -50,8 +49,9 @@ print(f"step 1: n={mesh2.graph.num_vertices:6d}  carried-over partition: "
 
 # --- step 3: re-partition with SP-PG7-NL vs RCB ------------------------
 cfg = ScalaPartConfig()
-sp = sp_pg7_nl_parallel(mesh2.graph, mesh2.coords, P, cfg, seed=2)
-rcb = rcb_parallel(mesh2.graph, mesh2.coords, P)
+sp = run_parallel("SP-PG7-NL", mesh2.graph, P, coords=mesh2.coords, config=cfg,
+                  seed=2)
+rcb = run_parallel("RCB", mesh2.graph, P, coords=mesh2.coords)
 print(f"step 1 repartitioned (P={P}, simulated times):")
 print(f"  SP-PG7-NL : cut={sp.cut_size:4d}  imbalance={sp.imbalance:.3f}  "
       f"t={sp.seconds * 1e3:.3f} ms")

@@ -2,14 +2,15 @@
 
 Three pieces, one contract (see DESIGN §8 and §13):
 
-* :mod:`repro.analysis.lint` — the ``repro lint`` static AST pass over
-  rank programs and library code (per-file rules SP101–SP106, plus the
-  SP099 stale-suppression check);
-* :mod:`repro.analysis.protocol` — the whole-program protocol checker
-  (rules SP107–SP112): communication summaries extracted across
-  modules and model-checked for unmatched point-to-point traffic,
-  collective count divergence, unordered peers, static deadlocks,
-  aliased payload mutation and hot-kernel perf discipline;
+* :mod:`repro.analysis.lint` — the ``repro lint`` static checker:
+  rule table, suppressions (with the SP099 stale-suppression check),
+  entry points and the syntactic rules SP101, SP103, SP105 and SP106;
+* :mod:`repro.analysis.protocol` — the checker's program walker:
+  communication summaries extracted across modules and model-checked
+  for rank-divergent collective schedules (SP102, SP108), unmatched
+  point-to-point traffic, unordered peers, static deadlocks, payloads
+  mutated before delivery (SP104, SP111) and hot-kernel perf
+  discipline;
 * :mod:`repro.analysis.sanitizer` — the runtime sanitizer behind
   ``run_spmd(..., sanitize=True)``: payload checksums, the collective
   ledger, undriven-generator and undelivered-message reporting.
@@ -17,7 +18,6 @@ Three pieces, one contract (see DESIGN §8 and §13):
 
 from .lint import (  # noqa: F401
     Finding,
-    PROTOCOL_CODES,
     Rule,
     RULES,
     findings_to_json,
@@ -32,7 +32,6 @@ from .sanitizer import Sanitizer, payload_checksum  # noqa: F401
 
 __all__ = [
     "Finding",
-    "PROTOCOL_CODES",
     "Rule",
     "RULES",
     "findings_to_json",

@@ -1,4 +1,4 @@
-"""Static AST lint for SPMD rank programs (``repro lint``).
+"""Static SPMD checker for rank programs (``repro lint``).
 
 The paper's algorithms live or die on disciplined SPMD communication:
 every rank must post the same collectives in the same order, senders
@@ -12,8 +12,17 @@ verification tools such as MUST and ThreadSanitizer catch at runtime,
 tuned to this codebase's rank-program idiom (generator rank programs
 driven by :func:`repro.parallel.engine.run_spmd`).
 
-Rules
------
+There is one checker, and every run evaluates every rule.  This module
+owns the rule table, findings, suppressions, the entry points and the
+rules below, which need only the syntax of one file.  Every rule that
+needs facts about a rank program — its rank taint, its collective
+schedule, its posted buffers — runs on the program walker in
+:mod:`repro.analysis.protocol` (SP102, SP104, SP107–SP112), which sees
+all the linted files at once.  Each rule has exactly one
+implementation.
+
+Syntactic rules
+---------------
 ======  ================================================================
 SP099   a ``# repro: lint-ok[CODE]`` suppression whose rule no longer
         fires on the suppressed line — stale suppressions hide future
@@ -22,29 +31,19 @@ SP101   a ``Comm`` communication method (``send``/``recv``/
         ``allreduce``/...) or a :mod:`repro.parallel.patterns` helper
         called without ``yield from`` — the call builds a generator that
         is never driven, so the operation silently does not happen
-SP102   a collective posted inside a ``comm.rank``-dependent branch —
-        ranks disagree on the collective schedule (deadlock or
-        mismatched-collective hazard)
 SP103   global RNG state (``np.random.*`` module-level functions,
         stdlib ``random.*``) instead of seeded :mod:`repro.rng` streams
         — breaks run-to-run determinism and rank independence
-SP104   a local variable mutated after being passed to ``comm.send`` /
-        ``comm.sendrecv`` — under ``copy_mode="readonly"`` the receiver
-        aliases the sender's memory until delivery
-SP105   iteration over a ``set`` inside a communicating rank program —
-        set order is hash-dependent, so payload order can differ
-        between runs (sort first, e.g. ``for x in sorted(s)``)
+SP105   iteration over a ``set`` (or a list built from one) inside a
+        communicating rank program — set order is hash-dependent, so
+        payload order can differ between runs (sort first, e.g.
+        ``for x in sorted(s)``)
 SP106   an ``except`` clause catches :class:`~repro.errors.CommError` /
         :class:`~repro.errors.ReproError` and silently swallows it —
         the handler neither re-raises, nor raises a converted error,
         nor uses the bound exception, so a typed fault turns into a
         silent wrong answer
 ======  ================================================================
-
-The whole-program protocol rules SP107–SP112 live in
-:mod:`repro.analysis.protocol` and run by default from
-:func:`lint_source` / :func:`lint_paths` (disable with
-``protocol=False`` / ``repro lint --no-protocol``).
 
 Dict iteration is *not* flagged: Python dicts preserve insertion order,
 and the engine builds inboxes (e.g. ``comm.exchange`` results) in
@@ -67,7 +66,7 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 __all__ = [
     "Finding",
@@ -190,6 +189,9 @@ RULES: Dict[str, Rule] = {
     )
 }
 
+#: every code a run evaluates (SP099 judges staleness against these)
+_ALL_CODES = frozenset(RULES) - {"SP000", "SP099"}
+
 #: exception names whose silent swallowing SP106 flags (the typed fault
 #: taxonomy of repro.errors — the base classes plus the CommError family)
 SWALLOWABLE_ERRORS = frozenset({
@@ -229,13 +231,6 @@ _NP_RANDOM_OK = frozenset({
 
 #: stdlib random attributes that are seeded instances, not global state
 _STDLIB_RANDOM_OK = frozenset({"Random", "SystemRandom"})
-
-#: container methods that mutate their receiver in place
-_MUTATOR_METHODS = frozenset({
-    "fill", "sort", "put", "resize", "itemset", "partition", "setflags",
-    "setfield", "byteswap", "append", "extend", "insert", "pop", "clear",
-    "update", "remove", "reverse", "setdefault", "add", "discard",
-})
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*lint-ok(?:\[([A-Za-z0-9_,\s]+)\])?"
@@ -351,16 +346,6 @@ _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPE_NODES = _FUNC_NODES + (ast.Lambda, ast.ClassDef)
 
 
-def _attach_parents(tree: ast.AST) -> None:
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            child._lint_parent = node  # type: ignore[attr-defined]
-
-
-def _parent(node: ast.AST) -> Optional[ast.AST]:
-    return getattr(node, "_lint_parent", None)
-
-
 def _own_walk(node: ast.AST) -> Iterator[ast.AST]:
     """Walk ``node`` without descending into nested scopes
     (functions, lambdas, classes)."""
@@ -406,55 +391,36 @@ def _comm_call_op(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _is_collective_op(op: str) -> bool:
-    return op in COLLECTIVE_METHODS or op in PATTERN_HELPERS
-
-
-def _reads_rank(expr: ast.AST, tainted: Set[str]) -> bool:
-    """Does ``expr`` read ``comm.rank``/``comm.world_rank`` or a
-    variable derived from one?"""
-    for node in ast.walk(expr):
-        if (isinstance(node, ast.Attribute)
-                and node.attr in ("rank", "world_rank")
-                and _is_comm_receiver(_receiver_name(node))):
-            return True
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
-                and node.id in tainted:
-            return True
-    return False
-
-
-def _is_split_result(value: ast.AST) -> bool:
-    """Is ``value`` ``yield from <comm>.split(...)`` (a sub-communicator)?"""
-    if isinstance(value, ast.YieldFrom):
-        value = value.value
-    return (isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "split"
-            and _is_comm_receiver(_receiver_name(value.func)))
-
-
 def _assigned_names(target: ast.AST) -> Iterator[str]:
     for node in ast.walk(target):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             yield node.id
 
 
-def _is_set_expr(expr: ast.AST, setish: Set[str]) -> bool:
+def _is_unordered_expr(expr: ast.AST, unordered: Set[str]) -> bool:
+    """Does ``expr`` produce hash-ordered content (a set, or a
+    list/tuple built from one)?  ``sorted(...)`` cleanses."""
     if isinstance(expr, (ast.Set, ast.SetComp)):
         return True
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
-            and expr.func.id in ("set", "frozenset"):
-        return True
-    if isinstance(expr, ast.Name) and expr.id in setish:
-        return True
+    if isinstance(expr, ast.Name):
+        return expr.id in unordered
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+        fn = expr.func.id
+        if fn in ("set", "frozenset"):
+            return True
+        if fn == "sorted":
+            return False
+        if fn in ("list", "tuple", "iter", "enumerate", "reversed") \
+                and expr.args:
+            return _is_unordered_expr(expr.args[0], unordered)
+    if isinstance(expr, ast.BinOp):
+        return (_is_unordered_expr(expr.left, unordered)
+                or _is_unordered_expr(expr.right, unordered))
     return False
 
 
-
-
 # ----------------------------------------------------------------------
-# suppressions (shared by the per-file linter and the protocol checker)
+# suppressions (shared by the syntactic rules and the program walker)
 # ----------------------------------------------------------------------
 
 class _SuppressEntry:
@@ -518,10 +484,10 @@ class Suppressions:
         """SP099 findings for entries that silenced nothing.
 
         ``checked`` is the set of rule codes this run actually
-        evaluated: a suppression for a rule that was not checked (e.g.
-        protocol rules under ``--no-protocol``) is never reported.
+        evaluated: a suppression for a rule left out by ``select`` /
+        ``ignore`` is never reported.
         """
-        full_run = checked >= (set(RULES) - {"SP000", "SP099"})
+        full_run = checked >= _ALL_CODES
         out: List[Finding] = []
         for entry in self.entries.values():
             if entry.codes is None:
@@ -551,8 +517,8 @@ class Suppressions:
 
 @dataclass
 class LintUnit:
-    """One parsed file, shared between the per-file linter and the
-    whole-program protocol checker."""
+    """One parsed file, shared between the syntactic rules and the
+    program walker."""
 
     path: str
     source: str
@@ -566,41 +532,48 @@ class LintUnit:
 
 
 # ----------------------------------------------------------------------
-# per-file linter
+# syntactic rules (one file at a time)
 # ----------------------------------------------------------------------
 
+def _make_adder(units: Sequence[LintUnit], findings: List[Finding]):
+    """``add(path, line, col, code, message)``: record one finding
+    unless a ``# repro: lint-ok`` comment suppresses it."""
+    by_path = {u.path: u for u in units}
+    seen = set(findings)
+
+    def add(path: str, line: int, col: int, code: str, message: str) -> None:
+        unit = by_path.get(path)
+        if unit is not None and unit.suppressions.is_suppressed(line, code):
+            return
+        f = Finding(path, line, col, code, message)
+        if f not in seen:
+            seen.add(f)
+            findings.append(f)
+    return add
+
+
 class _FileLint:
-    def __init__(self, unit: LintUnit) -> None:
+    def __init__(self, unit: LintUnit, add) -> None:
         self.tree = unit.tree
         self.path = unit.path
-        self.lines = unit.source.splitlines()
-        self.findings: List[Finding] = []
+        self.add = add
         self.numpy_random: Set[str] = set()   # names bound to numpy.random
         self.numpy_aliases: Set[str] = set()  # names bound to numpy itself
         self.random_aliases: Set[str] = set()  # names bound to stdlib random
-        _attach_parents(self.tree)
-        self._suppressions = unit.suppressions
 
     def _add(self, node: ast.AST, code: str, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        if self._suppressions.is_suppressed(line, code):
-            return
-        f = Finding(self.path, line, getattr(node, "col_offset", 0) + 1,
-                    code, message)
-        if f not in self.findings:
-            self.findings.append(f)
+        self.add(self.path, getattr(node, "lineno", 1),
+                 getattr(node, "col_offset", 0) + 1, code, message)
 
     # -- driver ---------------------------------------------------------
-    def run(self) -> List[Finding]:
+    def run(self) -> None:
         self._collect_imports()
         self._sp101(self.tree)
         self._sp103(self.tree)
         self._sp106(self.tree)
         for node in ast.walk(self.tree):
             if isinstance(node, _FUNC_NODES):
-                self._check_function(node)
-        self.findings.sort(key=lambda f: (f.line, f.col, f.code))
-        return self.findings
+                self._sp105(node)
 
     def _collect_imports(self) -> None:
         for node in ast.walk(self.tree):
@@ -631,13 +604,13 @@ class _FileLint:
 
     # -- SP101 ----------------------------------------------------------
     def _sp101(self, tree: ast.AST) -> None:
+        driven = {id(n.value) for n in ast.walk(tree)
+                  if isinstance(n, ast.YieldFrom)}
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, ast.Call) or id(node) in driven:
                 continue
             op = _comm_call_op(node)
             if op is None:
-                continue
-            if isinstance(_parent(node), ast.YieldFrom):
                 continue
             self._add(
                 node, "SP101",
@@ -727,201 +700,22 @@ class _FileLint:
                     return True
         return False
 
-    # -- per-function rules ---------------------------------------------
-    def _check_function(self, fn: ast.AST) -> None:
-        own = list(_own_walk(fn))
-        is_generator = any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own)
-        communicates = any(
-            isinstance(n, ast.Call) and _comm_call_op(n) is not None
-            for n in own
-        )
-        if is_generator:
-            self._sp102(fn, own)
-        if is_generator and communicates:
-            self._sp105(fn, own)
-        self._sp104(fn)
-
-    # -- SP102 ----------------------------------------------------------
-    def _sp102(self, fn: ast.AST, own: List[ast.AST]) -> None:
-        tainted: Set[str] = set()
-        subcomms: Set[str] = set()
-        for node in own:
-            value = None
-            if isinstance(node, ast.Assign):
-                value = node.value
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                value = node.value
-                targets = [node.target]
-            elif isinstance(node, ast.NamedExpr):
-                value = node.value
-                targets = [node.target]
-            else:
-                continue
-            if value is None:
-                continue
-            # names bound to a split() result are sub-communicators:
-            # posting a collective on one inside its own membership guard
-            # ('if sub is not None:') is the canonical correct idiom
-            if _is_split_result(value):
-                for t in targets:
-                    subcomms.update(_assigned_names(t))
-            if _reads_rank(value, tainted):
-                for t in targets:
-                    tainted.update(_assigned_names(t))
-        for node in own:
-            if not isinstance(node, ast.If):
-                continue
-            if not _reads_rank(node.test, tainted):
-                continue
-            for sub in _own_walk(node):
-                if sub is node.test or not isinstance(sub, ast.YieldFrom):
-                    continue
-                if not isinstance(sub.value, ast.Call):
-                    continue
-                op = _comm_call_op(sub.value)
-                if op is None or not _is_collective_op(op):
-                    continue
-                func = sub.value.func
-                if isinstance(func, ast.Attribute) \
-                        and _receiver_name(func) in subcomms:
-                    continue
-                self._add(
-                    sub, "SP102",
-                    f"collective '{op}' posted inside a rank-dependent "
-                    "branch — ranks will disagree on the collective "
-                    "schedule",
-                )
-
-    # -- SP104 ----------------------------------------------------------
-    def _sp104(self, fn: ast.AST) -> None:
-        sent: Dict[str, Tuple[int, str]] = {}   # name -> (send line, op)
-        self._sp104_scan(getattr(fn, "body", []), sent)
-
-    def _sp104_scan(self, body: Sequence[ast.stmt],
-                    sent: Dict[str, Tuple[int, str]]) -> None:
-        """Walk statements in execution order, tracking posted buffers.
-
-        ``If`` arms are alternatives, so each is scanned with its own
-        copy of the tracking state (a send in one arm cannot be mutated
-        by the other); loop bodies are scanned twice so a mutation
-        textually *before* a send still follows it on iteration two.
-        """
-        for stmt in body:
-            if isinstance(stmt, _SCOPE_NODES):
-                continue
-            if isinstance(stmt, ast.If):
-                self._sp104_exprs(stmt.test, sent)
-                then_sent, else_sent = dict(sent), dict(sent)
-                self._sp104_scan(stmt.body, then_sent)
-                self._sp104_scan(stmt.orelse, else_sent)
-                sent.clear()
-                sent.update(else_sent)
-                sent.update(then_sent)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                header = stmt.iter if isinstance(stmt, (ast.For, ast.AsyncFor)) \
-                    else stmt.test
-                self._sp104_exprs(header, sent)
-                for _pass in range(2):
-                    self._sp104_scan(stmt.body, sent)
-                self._sp104_scan(stmt.orelse, sent)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._sp104_exprs(item.context_expr, sent)
-                self._sp104_scan(stmt.body, sent)
-            elif isinstance(stmt, ast.Try):
-                self._sp104_scan(stmt.body, sent)
-                for handler in stmt.handlers:
-                    self._sp104_scan(handler.body, sent)
-                self._sp104_scan(stmt.orelse, sent)
-                self._sp104_scan(stmt.finalbody, sent)
-            else:
-                self._sp104_simple(stmt, sent)
-
-    def _sp104_simple(self, stmt: ast.stmt,
-                      sent: Dict[str, Tuple[int, str]]) -> None:
-        """One simple statement: flag mutations, apply rebinds, then
-        register any newly posted send payloads."""
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                self._sp104_target(target, stmt, sent)
-        elif isinstance(stmt, ast.AugAssign):
-            self._sp104_target(stmt.target, stmt, sent, aug=True)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Subscript) \
-                        and isinstance(target.value, ast.Name) \
-                        and target.value.id in sent:
-                    self._sp104_flag(stmt, target.value.id, sent)
-        self._sp104_exprs(stmt, sent)
-
-    def _sp104_exprs(self, root: ast.AST,
-                     sent: Dict[str, Tuple[int, str]]) -> None:
-        """Scan the expressions of one statement/header: mutating calls
-        on tracked buffers fire; send calls register their payload."""
-        for node in _own_walk(root):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            # x.fill(...), x.sort(...), ...
-            if func.attr in _MUTATOR_METHODS \
-                    and isinstance(func.value, ast.Name) \
-                    and func.value.id in sent:
-                self._sp104_flag(node, func.value.id, sent)
-            # np.add.at(x, ...), np.copyto(x, ...), np.put(x, ...)
-            elif func.attr in ("at", "copyto", "put", "place", "putmask") \
-                    and node.args and isinstance(node.args[0], ast.Name) \
-                    and node.args[0].id in sent:
-                self._sp104_flag(node, node.args[0].id, sent)
-            elif func.attr in SEND_METHODS \
-                    and _is_comm_receiver(_receiver_name(func)):
-                payload = node.args[0] if node.args else None
-                if payload is None:
-                    for kw in node.keywords:
-                        if kw.arg == "obj":
-                            payload = kw.value
-                if isinstance(payload, ast.Name):
-                    sent[payload.id] = (node.lineno, func.attr)
-
-    def _sp104_flag(self, node: ast.AST, name: str,
-                    sent: Dict[str, Tuple[int, str]]) -> None:
-        line, op = sent[name]
-        self._add(
-            node, "SP104",
-            f"'{name}' mutated after being posted to '{op}' on line "
-            f"{line} — the receiver aliases this memory under "
-            "copy_mode='readonly'",
-        )
-
-    def _sp104_target(self, target, stmt, sent, aug: bool = False) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._sp104_target(elt, stmt, sent, aug)
-        elif isinstance(target, (ast.Subscript, ast.Attribute)):
-            base = target.value
-            if isinstance(base, ast.Name) and base.id in sent:
-                self._sp104_flag(stmt, base.id, sent)
-        elif isinstance(target, ast.Name):
-            if aug:
-                # x += ... mutates ndarrays in place
-                if target.id in sent:
-                    self._sp104_flag(stmt, target.id, sent)
-            else:
-                # plain rebind: the name no longer aliases the sent buffer
-                sent.pop(target.id, None)
-
     # -- SP105 ----------------------------------------------------------
-    def _sp105(self, fn: ast.AST, own: List[ast.AST]) -> None:
-        setish: Set[str] = set()
+    def _sp105(self, fn: ast.AST) -> None:
+        own = list(_own_walk(fn))
+        if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own) \
+                or not any(isinstance(n, ast.Call)
+                           and _comm_call_op(n) is not None for n in own):
+            return  # not a communicating rank program
+        unordered: Set[str] = set()
         for node in own:
-            if isinstance(node, ast.Assign) and _is_set_expr(node.value, setish):
+            if isinstance(node, ast.Assign) \
+                    and _is_unordered_expr(node.value, unordered):
                 for t in node.targets:
-                    setish.update(_assigned_names(t))
+                    unordered.update(_assigned_names(t))
         for node in own:
             if isinstance(node, (ast.For, ast.AsyncFor)) \
-                    and _is_set_expr(node.iter, setish):
+                    and _is_unordered_expr(node.iter, unordered):
                 self._add(
                     node.iter, "SP105",
                     "iteration over a set has hash-dependent order inside "
@@ -933,63 +727,45 @@ class _FileLint:
 # public API
 # ----------------------------------------------------------------------
 
-#: rule codes owned by the whole-program checker (repro.analysis.protocol)
-PROTOCOL_CODES = frozenset({
-    "SP107", "SP108", "SP109", "SP110", "SP111", "SP112",
-})
 
-
-def _checked_codes(protocol: bool) -> Set[str]:
-    """Codes a run with/without the protocol pass actually evaluates
-    (drives SP099: un-evaluated rules can't prove a suppression stale)."""
-    checked = set(RULES) - {"SP000", "SP099"}
-    if not protocol:
-        checked -= PROTOCOL_CODES
-    return checked
-
-
-def _run_units(
-    units: Sequence[LintUnit],
-    protocol: bool,
-    checked: Set[str],
-) -> Dict[str, List[Finding]]:
-    """Run the per-file pass, the protocol pass, and the stale-
+def _run_units(units: Sequence[LintUnit],
+               checked: Set[str]) -> Dict[str, List[Finding]]:
+    """Run the syntactic rules, the program walker and the stale-
     suppression check over parsed units; findings per path, sorted."""
-    by_path: Dict[str, List[Finding]] = {
-        u.path: _FileLint(u).run() for u in units
-    }
-    if protocol and units:
-        from .protocol import check_units
-        for f in check_units(units):
-            by_path.setdefault(f.path, []).append(f)
+    from .protocol import check_units
+
+    findings: List[Finding] = []
+    add = _make_adder(units, findings)
     for u in units:
-        fs = by_path[u.path]
-        fs.extend(u.suppressions.unused_findings(u.path, checked))
+        _FileLint(u, add).run()
+    check_units(units, add)
+    by_path = {u.path: u.suppressions.unused_findings(u.path, checked)
+               for u in units}
+    for f in findings:
+        by_path[f.path].append(f)
+    for fs in by_path.values():
         fs.sort(key=lambda f: (f.line, f.col, f.code))
     return by_path
 
 
-def lint_source(source: str, path: str = "<string>", *,
-                protocol: bool = True) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint python ``source``; returns findings sorted by position.
 
     A file that fails to parse yields one SP000 finding instead of
     raising, so one broken file cannot abort a whole-tree lint run.
-    ``protocol=False`` skips the whole-program SP107–SP112 pass.
     """
     try:
         unit = LintUnit.parse(source, path)
     except SyntaxError as exc:
         return [Finding(path, exc.lineno or 1, (exc.offset or 1) - 1,
                         "SP000", f"syntax error: {exc.msg}")]
-    return _run_units([unit], protocol, _checked_codes(protocol))[path]
+    return _run_units([unit], _ALL_CODES)[path]
 
 
-def lint_file(path: Union[str, Path], *, protocol: bool = True) -> List[Finding]:
+def lint_file(path: Union[str, Path]) -> List[Finding]:
     """Lint one file."""
     p = Path(path)
-    return lint_source(p.read_text(encoding="utf-8"), str(p),
-                       protocol=protocol)
+    return lint_source(p.read_text(encoding="utf-8"), str(p))
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
@@ -1009,18 +785,16 @@ def lint_paths(
     paths: Iterable[Union[str, Path]],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    *,
-    protocol: bool = True,
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
-    The protocol pass sees *all* the files at once, so cross-module
+    The program walker sees *all* the files at once, so cross-module
     rank programs (stage singletons, registry entry points) resolve.
     ``select``/``ignore`` restrict the reported rule codes.
     """
     selected = {c.upper() for c in select} if select else None
     ignored = {c.upper() for c in ignore} if ignore else set()
-    checked = _checked_codes(protocol)
+    checked = set(_ALL_CODES)
     if selected is not None:
         checked &= selected
     checked -= ignored
@@ -1035,7 +809,7 @@ def lint_paths(
                                    (exc.offset or 1) - 1,
                                    "SP000", f"syntax error: {exc.msg}"))
     units = [e for e in ordered if isinstance(e, LintUnit)]
-    by_path = _run_units(units, protocol, checked)
+    by_path = _run_units(units, checked)
     findings: List[Finding] = []
     for e in ordered:
         if isinstance(e, Finding):

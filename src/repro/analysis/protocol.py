@@ -1,24 +1,30 @@
-"""Whole-program protocol checker for SPMD rank programs (SP107–SP112).
+"""Program walker of the SPMD checker: the rank-schedule and
+posted-buffer rules (SP102, SP104, SP107–SP112).
 
-:mod:`repro.analysis.lint` checks one function at a time; this module
-checks a whole *program*.  It builds an index over every parsed file,
-resolves ``yield from helper(...)`` calls across modules (including the
-stage singletons like ``EMBED_STAGE.run_dist`` and the registry's
-distributed entry points), and abstract-interprets each root rank
-program into an ordered **communication summary** — the sequence of
-comm ops it posts, with tag/peer expressions and the loop/branch
-structure they sit under.  The summaries are then model-checked:
+:mod:`repro.analysis.lint` owns the rule table, the suppressions and
+the purely syntactic rules; this module supplies every rule that needs
+facts about a whole rank program.  It builds an index over every parsed
+file, resolves ``yield from helper(...)`` calls across modules
+(including the stage singletons like ``EMBED_STAGE.run_dist`` and the
+registry's distributed entry points), and abstract-interprets each root
+rank program into an ordered **communication summary** — the sequence
+of comm ops it posts, with tag/peer expressions and the loop/branch
+structure they sit under.  One rank taint, one set-order helper and one
+posted-buffer scan feed all of these rules, so every finding has
+exactly one owner:
 
 ======  ================================================================
+SP102   a parent-communicator collective under a rank-dependent branch
+        of the function that posts it
+SP104   the directly-sent name mutated before delivery
 SP107   a point-to-point op with no tag-compatible counterpart anywhere
         in the program — the recv blocks forever (or the send is never
         consumed)
-SP108   collective count divergence the per-function SP102 cannot see:
-        a *subcommunicator* collective inside a rank-dependent branch
-        that is not its membership guard (the hole in SP102's
-        guarded-split exemption), a collective reached through a call
-        under a rank-dependent branch, or a collective inside a loop
-        whose trip count depends on ``comm.rank``
+SP108   the other collective-count divergences: a *subcommunicator*
+        collective inside a rank-dependent branch that is not its
+        membership guard, a collective reached through a call under a
+        rank-dependent branch, or a collective inside a loop whose trip
+        count depends on ``comm.rank``
 SP109   a send/recv tag or peer expression that depends on unordered
         (set-derived) iteration — rank A and rank B can disagree on who
         talks to whom
@@ -26,16 +32,24 @@ SP110   an unconditional recv whose every matching send occurs later in
         program order — the static twin of the runtime
         :class:`~repro.errors.DeadlockError` (all ranks block on the
         recv, nobody reaches the send)
-SP111   a posted payload that *aliases* a buffer mutated later in the
-        same phase — the static twin of the sanitizer's checksum catch
-        (SP104 handles the directly-sent name; this rule sees views,
-        reshapes and ``np.asarray`` aliases)
+SP111   a buffer that *aliases* a posted payload (a view, reshape,
+        ``np.asarray`` alias or the base of a sent slice) mutated before
+        delivery — the static twin of the sanitizer's checksum catch
 SP112   perf discipline in the committed hot kernels: ``np.add.at``
         where ``np.bincount`` is the established bit-identical fast
         path, and array allocation inside the iteration loops of
         functions on the hot-kernel list (``BENCH_kernels.json`` locks
         those paths in)
 ======  ================================================================
+
+Every generator function is walked at least once: as a root, inlined
+at a call site, or — when only reachable past the inline depth cap or
+through a call cycle — on its own, for the schedule rules.
+
+``comm.set_phase(...)`` only relabels the engine's phase accounting;
+it delivers nothing, so a payload stays posted across it (the runtime
+sanitizer raises on the same mutation).  Receives are not tracked: a
+posting ends when its first mutation is reported or the function ends.
 
 Known unsoundness (by design, to keep the shipped tree clean):
 
@@ -69,9 +83,9 @@ from .lint import (
     _assigned_names,
     _comm_call_op,
     _is_comm_receiver,
-    _is_split_result,
+    _is_unordered_expr,
+    _make_adder,
     _own_walk,
-    _reads_rank,
     _receiver_name,
     iter_python_files,
 )
@@ -348,10 +362,14 @@ class ProgramIndex:
         for fi in self.all_funcs:
             if id(fi) in called or fi.name in PATTERN_HELPERS:
                 continue
-            if any(isinstance(n, (ast.Yield, ast.YieldFrom))
-                   for n in _own_walk(fi.node)):
+            if _is_generator(fi.node):
                 out.append(fi)
         return out
+
+
+def _is_generator(fn: ast.AST) -> bool:
+    return any(isinstance(n, (ast.Yield, ast.YieldFrom))
+               for n in _own_walk(fn))
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +381,30 @@ class FuncEnv:
     tainted: Set[str] = field(default_factory=set)
     subcomms: Set[str] = field(default_factory=set)
     unordered: Set[str] = field(default_factory=set)
+
+
+def _reads_rank(expr: ast.AST, tainted: Set[str]) -> bool:
+    """Does ``expr`` read ``comm.rank``/``comm.world_rank`` or a
+    variable derived from one?"""
+    for node in ast.walk(expr):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("rank", "world_rank")
+                and _is_comm_receiver(_receiver_name(node))):
+            return True
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id in tainted:
+            return True
+    return False
+
+
+def _is_split_result(value: ast.AST) -> bool:
+    """Is ``value`` ``yield from <comm>.split(...)`` (a sub-communicator)?"""
+    if isinstance(value, ast.YieldFrom):
+        value = value.value
+    return (isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "split"
+            and _is_comm_receiver(_receiver_name(value.func)))
 
 
 def _assign_parts(node: ast.AST):
@@ -385,28 +427,6 @@ def _symmetric_yield(value: ast.AST) -> bool:
         return False
     op = _comm_call_op(call)
     return op is not None and op in SYMMETRIC_OPS
-
-
-def _is_unordered_expr(expr: ast.AST, unordered: Set[str]) -> bool:
-    """Does ``expr`` produce hash-ordered content (a set, or a
-    list/tuple built from one)?  ``sorted(...)`` cleanses."""
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(expr, ast.Name):
-        return expr.id in unordered
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-        fn = expr.func.id
-        if fn in ("set", "frozenset"):
-            return True
-        if fn == "sorted":
-            return False
-        if fn in ("list", "tuple", "iter", "enumerate", "reversed") \
-                and expr.args:
-            return _is_unordered_expr(expr.args[0], unordered)
-    if isinstance(expr, ast.BinOp):
-        return (_is_unordered_expr(expr.left, unordered)
-                or _is_unordered_expr(expr.right, unordered))
-    return False
 
 
 def _reads_unordered(expr: ast.AST, unordered: Set[str]) -> bool:
@@ -527,6 +547,7 @@ class _ProtoChecker:
         self.index = index
         self.add = add
         self._envs: Dict[int, FuncEnv] = {}
+        self.walked: Set[int] = set()    # ids of function nodes walked
 
     def env_of(self, fi: FuncInfo) -> FuncEnv:
         env = self._envs.get(id(fi))
@@ -534,10 +555,27 @@ class _ProtoChecker:
             env = self._envs[id(fi)] = _func_env(fi.node)
         return env
 
-    def check_root(self, fi: FuncInfo) -> None:
+    def check_root(self, fi: FuncInfo, match_p2p: bool = True) -> None:
         run = _RootRun(self)
         run.extract(fi)
-        run.finish()
+        if match_p2p:
+            run.finish()
+
+    def check_unwalked(self, units: Sequence[LintUnit]) -> None:
+        """Walk every generator function no root walk reached (only
+        reachable past the inline depth cap, through a call cycle, or
+        not indexed at all) on its own.  Its callers' ops are missing,
+        so only the schedule rules run, not the p2p matching."""
+        funcs = {id(fi.node): fi for fi in self.index.all_funcs}
+        for unit in units:
+            module = self.index.by_path[unit.path].name
+            for node in ast.walk(unit.tree):
+                if not isinstance(node, _FUNC_NODES) \
+                        or id(node) in self.walked or not _is_generator(node):
+                    continue
+                fi = funcs.get(id(node)) or FuncInfo(unit, module,
+                                                     node.name, node)
+                self.check_root(fi, match_p2p=False)
 
     def summarize(self, fi: FuncInfo) -> List[CommOp]:
         run = _RootRun(self, report=False)
@@ -555,7 +593,7 @@ class _RootRun:
         self.ops: List[CommOp] = []
         self.conds: List[_Cond] = []
         self.stack: List[int] = []       # FuncInfo ids, recursion guard
-        self._sp108_seen: Set[Tuple[int, str, int]] = set()
+        self._seen: Set[Tuple[int, str, int]] = set()  # (cond, path, line)
 
     # -- plumbing -------------------------------------------------------
     def _add(self, node: ast.AST, path: str, code: str, message: str) -> None:
@@ -566,6 +604,7 @@ class _RootRun:
 
     def extract(self, fi: FuncInfo) -> None:
         frame = _Frame(fi, self.checker.env_of(fi), None, None, set())
+        self.checker.walked.add(id(fi.node))
         self.stack.append(id(fi))
         self._walk_body(fi.node.body, frame)  # type: ignore[attr-defined]
         self.stack.pop()
@@ -663,6 +702,7 @@ class _RootRun:
         else:
             new = _Frame(callee, self.checker.env_of(callee), frame,
                          call, sub_params)
+        self.checker.walked.add(id(callee.node))
         self.stack.append(id(callee))
         self._walk_body(callee.node.body, new)  # type: ignore[attr-defined]
         self.stack.pop()
@@ -681,7 +721,7 @@ class _RootRun:
     def _record_op(self, call: ast.Call, op: str, frame: _Frame) -> None:
         conditional = any(not c.is_loop for c in self.conds)
         if op in COLLECTIVE_METHODS or op in PATTERN_HELPERS:
-            self._check_sp108(call, op, frame)
+            self._check_collective(call, op, frame)
             self.ops.append(CommOp(op, "collective", None, conditional,
                                    len(self.ops), call, frame.fi.unit.path))
             return
@@ -708,8 +748,9 @@ class _RootRun:
         except (ValueError, SyntaxError):
             return _WILDCARD
 
-    # -- SP108 ----------------------------------------------------------
-    def _check_sp108(self, call: ast.Call, op: str, frame: _Frame) -> None:
+    # -- SP102 / SP108 ---------------------------------------------------
+    def _check_collective(self, call: ast.Call, op: str,
+                          frame: _Frame) -> None:
         receiver = self._op_receiver(call, op)
         is_sub = receiver is not None and (
             receiver in frame.env.subcomms or receiver in frame.sub_params)
@@ -718,20 +759,23 @@ class _RootRun:
                 continue
             if receiver is not None and (id(frame), receiver) in cond.guarded:
                 continue
+            code = "SP108"
             if cond.frame is frame:
+                site, path = call, frame.fi.unit.path
                 if cond.is_loop:
-                    site, path = call, frame.fi.unit.path
                     msg = (f"collective '{op}' inside a loop whose trip "
                            "count depends on comm.rank — ranks post "
                            "different collective counts")
                 elif is_sub:
-                    site, path = call, frame.fi.unit.path
                     msg = (f"collective '{op}' on subcommunicator "
                            f"'{receiver}' inside a rank-dependent branch "
                            "that is not its membership guard — member "
                            "ranks disagree on the collective count")
                 else:
-                    continue  # SP102's territory (same-function, parent comm)
+                    code = "SP102"
+                    msg = (f"collective '{op}' posted inside a rank-"
+                           "dependent branch — ranks will disagree on the "
+                           "collective schedule")
             else:
                 site, path = self._callsite_under(cond, frame)
                 what = "loop" if cond.is_loop else "branch"
@@ -739,10 +783,10 @@ class _RootRun:
                        f"inside a rank-dependent {what} — ranks will "
                        "disagree on the collective count")
             key = (id(cond), path, getattr(site, "lineno", 0))
-            if key in self._sp108_seen:
+            if key in self._seen:
                 continue
-            self._sp108_seen.add(key)
-            self._add(site, path, "SP108", msg)
+            self._seen.add(key)
+            self._add(site, path, code, msg)
 
     def _callsite_under(self, cond: _Cond, frame: _Frame):
         """The call made inside cond's frame that leads to ``frame``."""
@@ -801,7 +845,7 @@ class _RootRun:
 
 
 # ----------------------------------------------------------------------
-# SP111: alias-aware post-send mutation (per function)
+# SP104 / SP111: alias-aware post-send mutation (per function)
 # ----------------------------------------------------------------------
 
 #: ndarray methods returning views of the receiver
@@ -813,9 +857,11 @@ _VIEW_FUNCS = frozenset({"asarray", "ascontiguousarray", "atleast_1d",
 #: wrappers that hold a reference to their argument
 _REF_WRAPPERS = frozenset({"Shared"})
 
-_MUTATOR_METHODS_111 = frozenset({
+#: container methods that mutate their receiver in place
+_MUTATOR_METHODS = frozenset({
     "fill", "sort", "put", "resize", "itemset", "partition", "setflags",
-    "setfield", "byteswap",
+    "setfield", "byteswap", "append", "extend", "insert", "pop", "clear",
+    "update", "remove", "reverse", "setdefault", "add", "discard",
 })
 
 
@@ -842,17 +888,18 @@ def _alias_base(expr: ast.AST) -> Optional[str]:
 
 
 class _AliasScan:
-    """Execution-order scan of one function for SP111: payloads posted
-    to a send whose *aliases* are mutated before the phase boundary."""
+    """Execution-order scan of one function for SP104/SP111: payloads
+    posted to a send that are mutated before delivery, through the sent
+    name (SP104) or through any alias of its memory (SP111)."""
 
     def __init__(self, path: str,
                  add: Callable[[str, int, int, str, str], None]) -> None:
         self.path = path
         self.add = add
+        self._retired = 0
 
     def run(self, fn: ast.AST) -> None:
-        state: Dict[str, object] = {"root": {}, "posted": {}}
-        self._scan(getattr(fn, "body", []), state["root"], state["posted"])
+        self._scan(getattr(fn, "body", []), {}, {})
 
     # state: root_of maps name -> ultimate alias root name;
     #        posted maps root -> (line, op, directly_sent_name_or_None)
@@ -904,6 +951,9 @@ class _AliasScan:
                 self._target(target, stmt, base, root_of, posted)
         elif isinstance(stmt, ast.AugAssign):
             self._target(stmt.target, stmt, None, root_of, posted, aug=True)
+        elif isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                self._target(target, stmt, None, root_of, posted)
 
     def _target(self, target, stmt, base, root_of, posted,
                 aug: bool = False) -> None:
@@ -918,10 +968,31 @@ class _AliasScan:
         elif isinstance(target, ast.Name):
             if aug:
                 self._mutation(stmt, target.id, root_of, posted)
-            elif base is not None and base != target.id:
-                root_of[target.id] = self._find(root_of, base)
             else:
-                root_of.pop(target.id, None)
+                self._rebind(target.id, base, root_of, posted)
+
+    def _rebind(self, name: str, base: Optional[str], root_of,
+                posted) -> None:
+        """``name = <value>`` (or ``del name``): the object ``name`` held
+        lives on only through its aliases, so it moves to a fresh root
+        no source name spells, and ``name`` follows ``base``."""
+        new_root = self._find(root_of, base) if base is not None else None
+        old = f"{name}#{self._retired}"
+        self._retired += 1
+        for alias, root in root_of.items():
+            if root == name:
+                root_of[alias] = old
+        for root, (line, op, direct) in list(posted.items()):
+            if direct == name:
+                posted[root] = (line, op, None)
+        if name in posted:
+            posted[old] = posted.pop(name)
+        if new_root == name:
+            new_root = old
+        if new_root is None:
+            root_of.pop(name, None)
+        else:
+            root_of[name] = new_root
 
     def _exprs(self, root: ast.AST, root_of, posted) -> None:
         for node in _own_walk(root):
@@ -930,10 +1001,7 @@ class _AliasScan:
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            if func.attr == "set_phase" \
-                    and _is_comm_receiver(_receiver_name(func)):
-                posted.clear()
-            elif func.attr in _MUTATOR_METHODS_111 \
+            if func.attr in _MUTATOR_METHODS \
                     and isinstance(func.value, ast.Name):
                 self._mutation(node, func.value.id, root_of, posted)
             elif func.attr in ("at", "copyto", "put", "place", "putmask") \
@@ -956,22 +1024,25 @@ class _AliasScan:
                     node.lineno, func.attr, direct)
 
     def _mutation(self, node: ast.AST, name: str, root_of, posted) -> None:
-        root = self._find(root_of, name)
-        entry = posted.get(root)
+        entry = posted.pop(self._find(root_of, name), None)
         if entry is None:
             return
         line, op, direct = entry
         if direct == name:
-            return  # the directly-sent name: SP104's finding, not ours
+            code = "SP104"
+            msg = (f"'{name}' mutated after being posted to '{op}' on line "
+                   f"{line} — the receiver aliases this memory under "
+                   "copy_mode='readonly'")
+        else:
+            code = "SP111"
+            msg = (f"'{name}' aliases the payload posted to '{op}' on line "
+                   f"{line} — mutating it before delivery corrupts the "
+                   "message under copy_mode='readonly'")
         self.add(self.path, getattr(node, "lineno", 1),
-                 getattr(node, "col_offset", 0) + 1, "SP111",
-                 f"'{name}' aliases the payload posted to '{op}' on line "
-                 f"{line} — mutating it before the phase boundary "
-                 "corrupts the message under copy_mode='readonly'")
-        del posted[root]
+                 getattr(node, "col_offset", 0) + 1, code, msg)
 
 
-def _sp111_unit(unit: LintUnit, add) -> None:
+def _alias_unit(unit: LintUnit, add) -> None:
     for node in ast.walk(unit.tree):
         if isinstance(node, _FUNC_NODES):
             _AliasScan(unit.path, add).run(node)
@@ -1020,34 +1091,17 @@ def _alloc_scan(fn: ast.AST, unit: LintUnit, add) -> None:
 # entry points
 # ----------------------------------------------------------------------
 
-def _make_adder(units: Sequence[LintUnit], findings: List[Finding]):
-    by_path = {u.path: u for u in units}
-    def add(path: str, line: int, col: int, code: str, message: str) -> None:
-        unit = by_path.get(path)
-        if unit is not None and unit.suppressions.is_suppressed(line, code):
-            return
-        f = Finding(path, line, col, code, message)
-        if f not in findings:
-            findings.append(f)
-    return add
-
-
-def check_units(units: Sequence[LintUnit]) -> List[Finding]:
-    """Run the whole-program protocol rules over parsed units.
-
-    Findings are already suppression-filtered (``# repro: lint-ok``)
-    and unsorted — the caller merges them into per-file order.
-    """
+def check_units(units: Sequence[LintUnit], add) -> None:
+    """Run the program walker's rules over parsed units, reporting
+    through ``add`` (see :func:`repro.analysis.lint._make_adder`)."""
     index = ProgramIndex(units)
-    findings: List[Finding] = []
-    add = _make_adder(units, findings)
     checker = _ProtoChecker(index, add)
     for fi in index.roots():
         checker.check_root(fi)
+    checker.check_unwalked(units)
     for unit in units:
-        _sp111_unit(unit, add)
+        _alias_unit(unit, add)
         _sp112_unit(unit, add)
-    return findings
 
 
 def check_registry() -> Tuple[List[Finding], List[str]]:

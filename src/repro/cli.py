@@ -165,9 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static SPMD-correctness checks (per-file rules SP101-SP106 "
-             "plus the whole-program protocol rules SP107-SP112) over "
-             "Python sources",
+        help="static SPMD-correctness checks over Python sources: every "
+             "rule SP101-SP112, with the rank-program rules resolved "
+             "across all the given files at once",
     )
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint")
@@ -180,12 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(default: all)")
     lint.add_argument("--ignore", metavar="CODES",
                       help="comma-separated rule codes to disable")
-    lint.add_argument("--protocol", dest="protocol", action="store_true",
-                      default=True,
-                      help="run the whole-program protocol checker "
-                           "(SP107-SP112; the default)")
-    lint.add_argument("--no-protocol", dest="protocol", action="store_false",
-                      help="skip the whole-program protocol checker")
     lint.add_argument("--registry", action="store_true",
                       help="also model-check every registered MethodSpec's "
                            "distributed entry point against the repro "
@@ -461,8 +455,7 @@ def _cmd_lint(args) -> int:
     select = set(args.select.split(",")) if args.select else None
     ignore = set(args.ignore.split(",")) if args.ignore else None
     t0 = time.perf_counter()
-    findings = lint_paths(args.paths, select=select, ignore=ignore,
-                          protocol=args.protocol)
+    findings = lint_paths(args.paths, select=select, ignore=ignore)
     if args.registry:
         from .analysis import check_registry
 
@@ -483,8 +476,7 @@ def _cmd_lint(args) -> int:
         n = len(findings)
         print(f"# {n} finding{'s' if n != 1 else ''}", file=sys.stderr)
     # analyzer runtime regression canary for the CI job log
-    print(f"# lint-timing: {elapsed:.2f}s "
-          f"(protocol={'on' if args.protocol else 'off'})", file=sys.stderr)
+    print(f"# lint-timing: {elapsed:.2f}s", file=sys.stderr)
     return 1 if findings else 0
 
 

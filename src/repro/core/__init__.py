@@ -20,20 +20,9 @@ from .kway import (
 from .methods import METHOD_REGISTRY, MethodSpec, get_method, register_method
 from .parallel import (
     dist_scalapart,
-    parmetis_parallel,
-    rcb_parallel,
     run_parallel,
-    scalapart_parallel,
-    scotch_parallel,
-    sp_pg7_nl_parallel,
 )
-from .recursive import (
-    KWayResult,
-    kway_cut,
-    kway_cut_weight,
-    kway_imbalance,
-    recursive_bisection,
-)
+from .recursive import recursive_bisection
 from ..graph.partition import KWayPartition
 from ..results import PartitionResult
 from .scalapart import scalapart, sp_pg7_nl
@@ -55,10 +44,6 @@ __all__ = [
     "ScalaPartConfig",
     "PartitionResult",
     "KWayPartition",
-    "KWayResult",
-    "kway_cut",
-    "kway_cut_weight",
-    "kway_imbalance",
     "recursive_bisection",
     "partition_kway",
     "hierarchical_kway",
@@ -75,11 +60,6 @@ __all__ = [
     "sp_pg7_nl",
     "dist_scalapart",
     "run_parallel",
-    "parmetis_parallel",
-    "rcb_parallel",
-    "scalapart_parallel",
-    "scotch_parallel",
-    "sp_pg7_nl_parallel",
     "METHOD_REGISTRY",
     "MethodSpec",
     "get_method",

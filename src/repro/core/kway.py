@@ -125,7 +125,6 @@ def partition_kway(
         raise PartitionError(f"k must be >= 1, got {k}")
     if spec.sequential is None:
         raise PartitionError(f"method {spec.name!r} has no sequential entry")
-    costs = resolve_costs(graph, cost_model)
 
     if spec.kway:
         return spec.sequential(
@@ -147,9 +146,9 @@ def partition_kway(
         coords=None if coords is None else as_coords(coords),
         seed=seed, cost_model=cost_model, **kwargs,
     )
-    part = KWayPartition(graph, kres.parts, k, costs=costs)
+    part = kres.kway
     extras = {
-        "bisections": kres.bisections,
+        "bisections": kres.extras["bisections"],
         "cost_model": get_cost_model(cost_model).name,
     }
     if refine and k >= 2:

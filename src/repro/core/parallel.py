@@ -5,7 +5,6 @@ and packages the outcome as a
 :class:`~repro.results.PartitionResult` whose ``seconds`` is the
 *simulated* execution time — the quantity the paper's Figures 3–6/9
 plot — and whose ``stage_seconds`` carries the per-phase breakdown.
-The five historical ``*_parallel`` wrappers remain as thin aliases.
 
 :func:`dist_scalapart` is the rank program combining the three shared
 pipeline stages of paper §3 (phases are labelled so Figures 7–8 can be
@@ -64,11 +63,6 @@ __all__ = [
     "RetryPolicy",
     "run_parallel",
     "dist_scalapart",
-    "scalapart_parallel",
-    "sp_pg7_nl_parallel",
-    "parmetis_parallel",
-    "scotch_parallel",
-    "rcb_parallel",
 ]
 
 #: seed-salting namespace for recovery attempts (epoch 0 keeps the
@@ -574,77 +568,3 @@ def run_parallel(
         backend=backend, op_timeout=op_timeout,
         k=k, cost_model=cost_model, checkpoint=ctx,
     )
-
-
-# ----------------------------------------------------------------------
-# historical wrappers (thin aliases over run_parallel)
-# ----------------------------------------------------------------------
-
-def scalapart_parallel(
-    graph: CSRGraph,
-    nranks: int,
-    config: Optional[ScalaPartConfig] = None,
-    seed: SeedLike = None,
-    machine: MachineModel = QDR_CLUSTER,
-    copy_mode: str = "readonly",
-    backend: str = "sim",
-) -> PartitionResult:
-    """Run distributed ScalaPart on ``nranks`` virtual ranks."""
-    return run_parallel("ScalaPart", graph, nranks, config=config, seed=seed,
-                        machine=machine, copy_mode=copy_mode, backend=backend)
-
-
-def sp_pg7_nl_parallel(
-    graph: CSRGraph,
-    coords,
-    nranks: int,
-    config: Optional[ScalaPartConfig] = None,
-    seed: SeedLike = None,
-    machine: MachineModel = QDR_CLUSTER,
-    copy_mode: str = "readonly",
-) -> PartitionResult:
-    """Run the partition-only component (SP-PG7-NL) on given coordinates
-    — the paper's Figure 4 comparison against RCB."""
-    return run_parallel("SP-PG7-NL", graph, nranks, coords=coords,
-                        config=config, seed=seed, machine=machine,
-                        copy_mode=copy_mode)
-
-
-def parmetis_parallel(
-    graph: CSRGraph,
-    nranks: int,
-    seed: SeedLike = None,
-    machine: MachineModel = QDR_CLUSTER,
-    max_imbalance: float = 0.05,
-    copy_mode: str = "readonly",
-) -> PartitionResult:
-    """Run the distributed ParMetis analogue."""
-    return run_parallel("ParMetis-like", graph, nranks, seed=seed,
-                        machine=machine, max_imbalance=max_imbalance,
-                        copy_mode=copy_mode)
-
-
-def scotch_parallel(
-    graph: CSRGraph,
-    nranks: int,
-    seed: SeedLike = None,
-    machine: MachineModel = QDR_CLUSTER,
-    max_imbalance: float = 0.05,
-    copy_mode: str = "readonly",
-) -> PartitionResult:
-    """Run the distributed Pt-Scotch analogue."""
-    return run_parallel("Pt-Scotch-like", graph, nranks, seed=seed,
-                        machine=machine, max_imbalance=max_imbalance,
-                        copy_mode=copy_mode)
-
-
-def rcb_parallel(
-    graph: CSRGraph,
-    coords,
-    nranks: int,
-    machine: MachineModel = QDR_CLUSTER,
-    copy_mode: str = "readonly",
-) -> PartitionResult:
-    """Run distributed RCB on given coordinates."""
-    return run_parallel("RCB", graph, nranks, coords=coords,
-                        machine=machine, copy_mode=copy_mode)

@@ -15,79 +15,27 @@ callable with the library's bisector signature
 methods (coordinates are sliced along with the subgraphs), as well as
 any registered method name.
 
-Results are backed by :class:`repro.graph.partition.KWayPartition`;
-the quality metrics (``kway_cut``, ``kway_imbalance``) live there and
-are re-exported here for compatibility.
+The result is the :class:`~repro.results.PartitionResult` every
+partitioner returns: the labelling is its
+:class:`~repro.graph.partition.KWayPartition` (with a ``bisection``
+view when k ≤ 2), and the number of bisections performed is
+``extras["bisections"]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
+import time
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from ..errors import PartitionError
 from ..graph.csr import CSRGraph
-from ..graph.partition import (  # noqa: F401  (compat re-exports)
-    KWayPartition,
-    kway_cut,
-    kway_cut_weight,
-    kway_imbalance,
-)
+from ..graph.partition import KWayPartition
+from ..results import PartitionResult
 from ..rng import SeedLike, derive_seed
 
-__all__ = [
-    "KWayResult",
-    "recursive_bisection",
-    "kway_cut",
-    "kway_cut_weight",
-    "kway_imbalance",
-]
-
-
-@dataclass
-class KWayResult:
-    """A k-way partition with its quality metrics.
-
-    Thin result wrapper around :class:`KWayPartition` keeping the
-    recursion bookkeeping (`bisections`) next to the labelling.
-    ``costs`` is the optional cost-model array the balance metrics are
-    measured against (``graph.vwgt`` when ``None``).
-    """
-
-    graph: CSRGraph
-    parts: np.ndarray
-    k: int
-    bisections: int = 0
-    extras: Dict = field(default_factory=dict)
-    costs: Optional[np.ndarray] = None
-
-    @property
-    def partition(self) -> KWayPartition:
-        return KWayPartition(self.graph, self.parts, self.k, costs=self.costs)
-
-    @property
-    def cut_size(self) -> int:
-        return kway_cut(self.graph, self.parts)
-
-    @property
-    def imbalance(self) -> float:
-        return kway_imbalance(self.graph, self.parts, self.k, costs=self.costs)
-
-    @property
-    def part_sizes(self) -> np.ndarray:
-        return np.bincount(self.parts, minlength=self.k)
-
-    def validate(self, max_imbalance: Optional[float] = None) -> None:
-        if self.parts.shape != (self.graph.num_vertices,):
-            raise PartitionError("parts must label every vertex")
-        if self.parts.size and (self.parts.min() < 0 or self.parts.max() >= self.k):
-            raise PartitionError("part labels out of range")
-        if max_imbalance is not None and self.imbalance > max_imbalance:
-            raise PartitionError(
-                f"k-way imbalance {self.imbalance:.4f} exceeds {max_imbalance:.4f}"
-            )
+__all__ = ["recursive_bisection"]
 
 
 def recursive_bisection(
@@ -100,7 +48,7 @@ def recursive_bisection(
     min_part: int = 1,
     cost_model=None,
     **bisector_kwargs,
-) -> KWayResult:
+) -> PartitionResult:
     """Partition ``graph`` into ``k`` parts via recursive bisection.
 
     ``bisector(graph, [coords,] seed=..., **kwargs)`` must return an
@@ -116,6 +64,8 @@ def recursive_bisection(
     """
     if k < 1:
         raise PartitionError(f"k must be >= 1, got {k}")
+    t0 = time.perf_counter()
+    name = getattr(bisector, "__name__", "")
     if isinstance(bisector, str):
         # local import: methods.py imports the drivers this module feeds
         from .methods import get_method
@@ -130,7 +80,7 @@ def recursive_bisection(
                 f"method {spec.name!r} needs coordinates for recursive "
                 "bisection"
             )
-        bisector = spec.sequential
+        bisector, name = spec.sequential, spec.name
     from .cost import resolve_costs
 
     costs = resolve_costs(graph, cost_model)
@@ -138,8 +88,13 @@ def recursive_bisection(
     counter = {"bisections": 0}
     _recurse(graph, np.arange(graph.num_vertices), coords, k, 0, parts,
              bisector, seed, counter, bisector_kwargs, min_part)
-    return KWayResult(
-        graph, parts, k, bisections=counter["bisections"], costs=costs
+    kway = KWayPartition(graph, parts, k, costs=costs)
+    return PartitionResult(
+        bisection=kway.to_bisection() if k <= 2 else None,
+        kway=kway,
+        method=name,
+        seconds=time.perf_counter() - t0,
+        extras={"bisections": counter["bisections"]},
     )
 
 

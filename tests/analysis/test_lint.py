@@ -191,6 +191,14 @@ class TestSP104MutateAfterSend:
                     buf[0] = 1.0
         """) == ["SP104"]
 
+    def test_fires_on_del_item(self):
+        assert codes("""
+            def prog(comm, buf):
+                yield from comm.send(buf, dest=1)
+                del buf[0]
+                yield from comm.barrier()
+        """) == ["SP104"]
+
     def test_silent_after_rebind(self):
         # rebinding the name breaks the alias: the sent object is safe
         assert codes("""
@@ -214,6 +222,14 @@ class TestSP105SetOrderPayload:
                     yield from comm.send(b, dest=b)
         """)
         assert "SP105" in [f.code for f in fs]
+
+    def test_fires_on_list_built_from_set(self):
+        assert codes("""
+            def prog(comm, nbrs):
+                order = list(set(nbrs))
+                for i, b in enumerate(order):
+                    yield from comm.send(i, dest=0)
+        """) == ["SP105"]
 
     def test_silent_on_sorted_set(self):
         assert codes("""

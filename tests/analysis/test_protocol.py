@@ -22,6 +22,8 @@ from repro.analysis import (
     program_ops,
 )
 from repro.cli import main as cli_main
+from repro.errors import CommError
+from repro.parallel.engine import run_spmd
 
 
 def lint(src, **kw):
@@ -161,6 +163,52 @@ class TestSP108CollectiveDivergence:
         """) == []
 
 
+class TestEveryGeneratorIsWalked:
+    """SP102 lives in the program walker, so a generator no root walk
+    reaches must still be walked on its own."""
+
+    def test_recursive_helper_nobody_else_calls(self):
+        assert codes("""
+            def rec(comm, n):
+                if comm.rank == 0:
+                    yield from comm.barrier()
+                if n:
+                    yield from rec(comm, n - 1)
+        """) == ["SP102"]
+
+    def test_helper_past_the_inline_depth_cap(self):
+        chain = "\n".join(
+            f"def h{i}(comm):\n    yield from h{i + 1}(comm)\n"
+            for i in range(20))
+        src = chain + """
+def h20(comm):
+    if comm.rank == 0:
+        yield from comm.barrier()
+"""
+        line = src.splitlines().index("        yield from comm.barrier()") + 1
+        assert [(f.code, f.line) for f in lint(src)] == [("SP102", line)]
+
+    def test_method_of_a_class_inside_a_function(self):
+        assert codes("""
+            def make():
+                class Prog:
+                    def run(self, comm):
+                        if comm.rank == 0:
+                            yield from comm.barrier()
+                return Prog
+        """) == ["SP102"]
+
+    def test_unreached_helper_skips_p2p_matching(self):
+        # its counterpart sends live in callers the walk never reached
+        assert codes("""
+            def rec(comm, n):
+                got = yield from comm.recv(source=0, tag=5)
+                if n:
+                    yield from rec(comm, n - 1)
+                return got
+        """) == []
+
+
 class TestSP109UnorderedTagPeer:
     def test_fires_on_peer_from_set_iteration(self):
         fs = lint("""
@@ -251,9 +299,9 @@ class TestSP111AliasedPayloadMutation:
         """)
         assert "SP111" in [f.code for f in fs]
 
-    def test_silent_after_phase_boundary(self):
-        # set_phase closes the delivery window in the cost model and
-        # the checker treats it as clearing posted payloads
+    def test_fires_after_phase_boundary(self):
+        # set_phase only relabels phase accounting: it delivers nothing,
+        # so the receiver still aliases the posted view
         fs = lint("""
             import numpy as np
 
@@ -265,7 +313,84 @@ class TestSP111AliasedPayloadMutation:
                 buf[0] = 1.0
                 yield from comm.barrier()
         """)
-        assert "SP111" not in [f.code for f in fs]
+        assert "SP111" in [f.code for f in fs]
+
+    def test_lint_and_sanitizer_agree_across_set_phase(self):
+        # the same program through both halves of the analyzer: the
+        # static rule and the runtime checksum must both flag it
+        src = textwrap.dedent("""
+            import numpy as np
+
+            def prog(comm):
+                if comm.rank == 0:
+                    buf = np.zeros(8)
+                    view = buf[2:6]
+                    yield from comm.send(view, dest=1)
+                    comm.set_phase("next")
+                    buf[3] = 1.0
+                    yield from comm.barrier()
+                else:
+                    yield from comm.barrier()
+                    got = yield from comm.recv(source=0)
+                    return got
+        """)
+        fs = [f for f in lint_source(src, "<test>") if f.code == "SP111"]
+        assert [f.line for f in fs] == [10]
+        namespace = {}
+        exec(compile(src, "<test>", "exec"), namespace)
+        with pytest.raises(CommError, match="mutated a buffer it had posted"):
+            run_spmd(namespace["prog"], 2, sanitize=True)
+
+    def test_silent_after_posted_root_is_rebound(self):
+        # 'buf' names a new array; the posted view's memory is untouched
+        fs = lint("""
+            import numpy as np
+
+            def prog(comm):
+                buf = np.zeros(8)
+                view = buf[2:6]
+                yield from comm.send(view, dest=1)
+                buf = np.ones(8)
+                buf[0] = 1.0
+                yield from comm.barrier()
+        """)
+        assert [f.code for f in fs] == []
+
+    def test_surviving_alias_fires_after_rebind(self):
+        fs = lint("""
+            import numpy as np
+
+            def prog(comm):
+                buf = np.zeros(8)
+                view = buf[2:6]
+                yield from comm.send(view, dest=1)
+                buf = np.ones(8)
+                view[0] = 1.0
+                yield from comm.barrier()
+        """)
+        assert [(f.code, f.line) for f in fs] == [("SP104", 9)]
+
+    def test_alias_of_rebound_sent_name_fires(self):
+        fs = lint("""
+            def prog(comm, buf, other):
+                alias = buf
+                yield from comm.send(buf, dest=1)
+                buf = other
+                buf[0] = 1.0
+                alias[0] = 1.0
+                yield from comm.barrier()
+        """)
+        assert [(f.code, f.line) for f in fs] == [("SP111", 7)]
+
+    def test_fires_on_list_mutator_through_alias(self):
+        fs = lint("""
+            def prog(comm, items):
+                alias = items
+                yield from comm.send(items, dest=1)
+                alias.append(0)
+                yield from comm.barrier()
+        """)
+        assert [(f.code, f.line) for f in fs] == [("SP111", 5)]
 
     def test_direct_name_mutation_stays_sp104(self):
         # mutating the *sent* name is SP104's finding, not SP111's
@@ -348,9 +473,6 @@ class TestProtocolToggle:
 
     def test_protocol_on_by_default(self):
         assert codes(self.BAD) == ["SP107"]
-
-    def test_no_protocol_skips_rules(self):
-        assert codes(self.BAD, protocol=False) == []
 
     def test_suppression_works_on_protocol_findings(self):
         assert codes("""
@@ -459,9 +581,11 @@ class TestCliProtocol:
         assert cli_main(["lint", str(f)]) == 1
         assert "SP107" in capsys.readouterr().out
 
-    def test_no_protocol_flag_passes(self, tmp_path):
+    def test_no_protocol_flag_is_gone(self, tmp_path):
+        # every rule always runs; the syntax-only mode was removed
         f = self._write(tmp_path, self.BAD)
-        assert cli_main(["lint", str(f), "--no-protocol"]) == 0
+        with pytest.raises(SystemExit):
+            cli_main(["lint", str(f), "--no-protocol"])
 
     def test_sarif_format(self, tmp_path, capsys):
         f = self._write(tmp_path, self.BAD)

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ScalaPartConfig
-from repro.core.parallel import (
-    parmetis_parallel,
-    rcb_parallel,
-    scalapart_parallel,
-    scotch_parallel,
-    sp_pg7_nl_parallel,
-)
+from repro.core import ScalaPartConfig, run_parallel
 from repro.graph.generators import random_delaunay
 
 
@@ -21,50 +14,53 @@ class TestDistScalaPart:
     @pytest.mark.parametrize("p", [1, 4, 16])
     def test_valid_bisection_all_p(self, p):
         g = random_delaunay(1200, seed=0).graph
-        res = scalapart_parallel(g, p, FAST, seed=1)
+        res = run_parallel("ScalaPart", g, p, config=FAST, seed=1)
         res.validate(max_imbalance=0.1)
         assert res.simulated
         assert res.cut_size < 8 * np.sqrt(1200)
 
     def test_phases_present(self):
         g = random_delaunay(800, seed=1).graph
-        res = scalapart_parallel(g, 4, FAST, seed=2)
+        res = run_parallel("ScalaPart", g, 4, config=FAST, seed=2)
         for phase in ("coarsen", "embed", "partition"):
             assert phase in res.stage_seconds
 
     def test_embedding_dominates(self):
         """Figure 7: embedding is the largest component."""
         g = random_delaunay(1500, seed=2).graph
-        res = scalapart_parallel(g, 16, FAST, seed=3)
+        res = run_parallel("ScalaPart", g, 16, config=FAST, seed=3)
         assert res.stage_seconds["embed"] > res.stage_seconds["partition"]
 
     def test_cut_varies_with_p(self):
         """Tables 2–3 report SP cut ranges across P."""
         g = random_delaunay(1200, seed=3).graph
-        cuts = {scalapart_parallel(g, p, FAST, seed=4).cut_size
+        cuts = {run_parallel("ScalaPart", g, p, config=FAST, seed=4).cut_size
                 for p in (1, 4, 16)}
         assert len(cuts) > 1
 
     def test_deterministic(self):
         g = random_delaunay(600, seed=4).graph
-        a = scalapart_parallel(g, 4, FAST, seed=5)
-        b = scalapart_parallel(g, 4, FAST, seed=5)
+        a = run_parallel("ScalaPart", g, 4, config=FAST, seed=5)
+        b = run_parallel("ScalaPart", g, 4, config=FAST, seed=5)
         assert np.array_equal(a.bisection.side, b.bisection.side)
         assert a.seconds == b.seconds
 
     def test_scales_down_with_p(self):
         g = random_delaunay(3000, seed=5).graph
-        t1 = scalapart_parallel(g, 1, FAST, seed=6).seconds
-        t64 = scalapart_parallel(g, 64, FAST, seed=6).seconds
+        t1 = run_parallel("ScalaPart", g, 1, config=FAST, seed=6).seconds
+        t64 = run_parallel("ScalaPart", g, 64, config=FAST, seed=6).seconds
         assert t64 < t1
 
 
 class TestDistBaselines:
-    @pytest.mark.parametrize("runner", [parmetis_parallel, scotch_parallel])
+    @pytest.mark.parametrize("method", [
+        pytest.param("ParMetis-like", id="parmetis_parallel"),
+        pytest.param("Pt-Scotch-like", id="scotch_parallel"),
+    ])
     @pytest.mark.parametrize("p", [1, 4, 16])
-    def test_multilevel_valid(self, runner, p):
+    def test_multilevel_valid(self, method, p):
         g = random_delaunay(1200, seed=6).graph
-        res = runner(g, p, seed=7)
+        res = run_parallel(method, g, p, seed=7)
         res.validate(max_imbalance=0.12)
         assert res.cut_size < 10 * np.sqrt(1200)
 
@@ -72,8 +68,8 @@ class TestDistBaselines:
         wins = 0
         for s in range(3):
             g = random_delaunay(1500, seed=20 + s).graph
-            cs = scotch_parallel(g, 8, seed=s).cut_size
-            cp = parmetis_parallel(g, 8, seed=s).cut_size
+            cs = run_parallel("Pt-Scotch-like", g, 8, seed=s).cut_size
+            cp = run_parallel("ParMetis-like", g, 8, seed=s).cut_size
             wins += cs <= cp
         assert wins >= 2
 
@@ -84,21 +80,22 @@ class TestDistBaselines:
         # needs a graph large enough that Scotch's serial band work is
         # visible against the latency floor both methods share
         g = random_delaunay(6000, seed=8).graph
-        ts = scotch_parallel(g, 256, seed=9).seconds
-        tp = parmetis_parallel(g, 256, seed=9).seconds
+        ts = run_parallel("Pt-Scotch-like", g, 256, seed=9).seconds
+        tp = run_parallel("ParMetis-like", g, 256, seed=9).seconds
         assert ts > tp  # Scotch is the slowest at scale (Fig 3)
 
     def test_rcb_fast_and_valid(self):
         g, pts = random_delaunay(1500, seed=9)
-        res = rcb_parallel(g, pts, 16)
+        res = run_parallel("RCB", g, 16, coords=pts)
         res.validate(max_imbalance=0.1)
-        t_sp = scalapart_parallel(g, 16, FAST, seed=10).seconds
+        t_sp = run_parallel("ScalaPart", g, 16, config=FAST, seed=10).seconds
         assert res.seconds < t_sp
 
     def test_sp_pg7_nl_partition_only(self):
         g, pts = random_delaunay(1500, seed=10)
-        res = sp_pg7_nl_parallel(g, pts, 16, FAST, seed=11)
+        res = run_parallel("SP-PG7-NL", g, 16, coords=pts, config=FAST,
+                           seed=11)
         res.validate(max_imbalance=0.1)
         # partition-only must be far cheaper than the full pipeline
-        full = scalapart_parallel(g, 16, FAST, seed=11).seconds
+        full = run_parallel("ScalaPart", g, 16, config=FAST, seed=11).seconds
         assert res.seconds < 0.5 * full

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.baselines import parmetis_like, rcb_bisect
 from repro.core import ScalaPartConfig, recursive_bisection, scalapart
-from repro.core.recursive import kway_cut, kway_imbalance
 from repro.errors import PartitionError
 from repro.graph.generators import grid2d, random_delaunay
+from repro.graph.partition import kway_cut, kway_imbalance
 
 FAST = ScalaPartConfig(coarsest_iters=50, smooth_iters=5)
 
@@ -42,13 +42,13 @@ class TestRecursiveBisection:
         res = recursive_bisection(g, k, parmetis_like, seed=1)
         res.validate(max_imbalance=0.30)
         assert len(np.unique(res.parts)) == k
-        assert res.bisections == k - 1
+        assert res.extras["bisections"] == k - 1
 
     def test_k1_trivial(self):
         g = grid2d(5, 5).graph
         res = recursive_bisection(g, 1, parmetis_like, seed=2)
         assert (res.parts == 0).all()
-        assert res.bisections == 0
+        assert res.extras["bisections"] == 0
 
     def test_invalid_k(self):
         g = grid2d(4, 4).graph
@@ -77,7 +77,7 @@ class TestRecursiveBisection:
     def test_part_sizes_proportional_for_odd_k(self):
         g = grid2d(30, 30).graph
         res = recursive_bisection(g, 3, parmetis_like, seed=9)
-        sizes = res.part_sizes
+        sizes = res.kway.part_sizes
         assert sizes.min() > 0.6 * (900 / 3)
 
 

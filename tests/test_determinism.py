@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.config import ScalaPartConfig
-from repro.core.parallel import scalapart_parallel
+from repro.core.parallel import run_parallel
 from repro.graph.generators import random_delaunay
 from repro.parallel import procs_available, trace_records
 
@@ -29,8 +29,8 @@ BACKENDS = ["sim"] + (["procs"] if procs_available() else [])
 
 def _run(copy_mode="readonly", backend="sim"):
     g = random_delaunay(500, seed=21).graph
-    return scalapart_parallel(g, P, CFG, seed=SEED, copy_mode=copy_mode,
-                              backend=backend)
+    return run_parallel("ScalaPart", g, P, config=CFG, seed=SEED,
+                        copy_mode=copy_mode, backend=backend)
 
 
 class TestScalaPartDeterminism:
@@ -100,8 +100,8 @@ class TestScalaPartDeterminism:
 
     def test_different_seed_changes_trace(self):
         g = random_delaunay(500, seed=21).graph
-        a = scalapart_parallel(g, P, CFG, seed=SEED)
-        b = scalapart_parallel(g, P, CFG, seed=SEED + 1)
+        a = run_parallel("ScalaPart", g, P, config=CFG, seed=SEED)
+        b = run_parallel("ScalaPart", g, P, config=CFG, seed=SEED + 1)
         assert a.extras["trace"].clocks.tobytes() != b.extras["trace"].clocks.tobytes()
 
 
@@ -114,7 +114,7 @@ class TestBlockSizeAblation:
         for b in (1, 2, 4, 8):
             cfg = ScalaPartConfig(block_size=b, coarsest_iters=60,
                                   smooth_iters=8)
-            res = scalapart_parallel(g, 16, cfg, seed=5)
+            res = run_parallel("ScalaPart", g, 16, config=cfg, seed=5)
             embed = res.extras["comm_stats"].phase("embed")
             iters = res.extras["smooth_iterations"]
             assert iters > 0
