@@ -78,6 +78,8 @@ class ScalaPartConfig:
             raise ConfigError("strip_factor must be positive")
         if not (0 <= self.max_imbalance < 1):
             raise ConfigError("max_imbalance must be in [0, 1)")
+        if self.centerpoint_sample < 1:
+            raise ConfigError("centerpoint_sample must be >= 1")
         if (self.kway_lloyd_iters < 0 or self.kway_refine_passes < 0
                 or self.kway_pairwise_rounds < 0):
             raise ConfigError("k-way iteration counts must be nonnegative")

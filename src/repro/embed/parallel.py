@@ -23,8 +23,10 @@ machine, stage for stage:
   adaptive rule would need a global energy reduction *every* iteration,
   which the block structure exists to avoid.
 
-Per-rank state is O(n/P): owned ids/coordinates, ghost buffers, and the
-per-neighbour send/receive index lists, all precomputed at level setup.
+Per-rank state is O(n/P): owned ids, one coordinate array holding the
+owned rows followed by the ghost rows, and the per-neighbour
+send/receive index lists, all precomputed at level setup; the
+smoothing loop's scratch is allocated once per level.
 Level-setup data (initial coordinates, ownership) is assembled once at
 the subtree root and shared by reference (see
 :mod:`repro.graph.distributed` for the simulator memory idiom); every
@@ -62,17 +64,18 @@ class _LevelSetup:
     """Per-rank precomputed structure for one level's smoothing."""
 
     own: np.ndarray            # global ids owned by this rank (sorted)
-    pos_own: np.ndarray        # (n_own, 2) current coordinates
     mass_own: np.ndarray
     src_pos: np.ndarray        # local row per adjacency slot
     w: np.ndarray              # slot weights
-    dst_slot: np.ndarray       # slot -> index into concat(pos_own, pos_ghost)
+    dst_slot: np.ndarray       # slot -> row of pos_all
     ghost_ids: np.ndarray      # sorted global ids of ghosts
     near_send: Dict[int, np.ndarray]   # nbr rank -> local indices to send
     near_recv: Dict[int, np.ndarray]   # nbr rank -> ghost slots to fill
     far_slots: np.ndarray      # ghost slots refreshed per block
     far_ids: np.ndarray        # their global ids
-    pos_ghost: np.ndarray      # (n_ghost, 2)
+    pos_all: np.ndarray        # (n_own + n_ghost, 2): owned rows, then ghosts
+    pos_own: np.ndarray        # (n_own, 2) view of pos_all's owned rows
+    pos_ghost: np.ndarray      # (n_ghost, 2) view of pos_all's ghost rows
 
 
 def _setup_level(
@@ -89,7 +92,7 @@ def _setup_level(
     src_pos, src, dst, w = adjacency_slots(graph, own)
     ghost_mask = owner[dst] != r
     ghost_ids = np.unique(dst[ghost_mask])
-    # slot -> position index in concat(own, ghosts)
+    # slot -> row of pos_all (owned rows first, then ghosts)
     dst_slot = np.empty(dst.shape[0], dtype=np.int64)
     own_sorted = own  # flatnonzero is sorted
     local = ~ghost_mask
@@ -112,9 +115,12 @@ def _setup_level(
     far = ~np.isin(ghost_owner, sorted(nbrs))
     far_slots = np.flatnonzero(far)
     comm.charge(float(dst.shape[0]) + own.shape[0])
+    n_own = own.shape[0]
+    pos_all = np.empty((n_own + ghost_ids.shape[0], 2))
+    pos_all[:n_own] = pos_full[own]
+    pos_all[n_own:] = pos_full[ghost_ids]
     return _LevelSetup(
         own=own,
-        pos_own=pos_full[own].copy(),
         mass_own=graph.vwgt[own].copy(),
         src_pos=src_pos,
         w=w,
@@ -124,7 +130,9 @@ def _setup_level(
         near_recv=near_recv,
         far_slots=far_slots,
         far_ids=ghost_ids[far_slots],
-        pos_ghost=pos_full[ghost_ids].copy(),
+        pos_all=pos_all,
+        pos_own=pos_all[:n_own],
+        pos_ghost=pos_all[n_own:],
     )
 
 
@@ -191,15 +199,30 @@ def _smooth_level(
     setup = _setup_level(comm, graph, pos_full, owner, grid)
     p = comm.size
 
+    # level workspace: every per-iteration temporary is allocated once
+    n_own = setup.own.shape[0]
+    n_slots = setup.w.shape[0]
+    pos_all, pos_own = setup.pos_all, setup.pos_own
+    d = np.empty((2, n_slots))        # per-slot offsets, one row per axis
+    tmp = np.empty(n_slots)
+    mag = np.empty(n_slots)
+    f = np.empty((n_own, 2))          # force on owned vertices
+    dd = np.empty((n_own, 2))         # per-vertex scratch
+    r2 = np.empty(n_own)
+    coef = np.empty(n_own)
+    norms = np.empty(n_own)
+    mass_col = setup.mass_own[:, None]
+    mass_sum = setup.mass_own.sum()
+    ckk_mass = c * k * k * setup.mass_own
+
     # initial β statistics: allreduce of the (p, 3) cell table
     def local_stats() -> np.ndarray:
         table = np.zeros((p, 3))
-        m = setup.mass_own.sum()
-        table[comm.rank, 0] = m
-        if m > 0:
+        table[comm.rank, 0] = mass_sum
+        if mass_sum > 0:
             table[comm.rank, 1:] = (
-                setup.mass_own[:, None] * setup.pos_own
-            ).sum(axis=0) / m
+                np.multiply(mass_col, pos_own, out=dd).sum(axis=0) / mass_sum
+            )
         return table
 
     comm.set_phase("embed/refresh")
@@ -221,9 +244,9 @@ def _smooth_level(
         # ---- halo exchange: boundary coordinates to grid neighbours ----
         comm.set_phase("embed/halo")
         if setup.near_send or setup.near_recv:
-            out = {
-                b: setup.pos_own[idx] for b, idx in setup.near_send.items()
-            }
+            # fresh copies: the payloads are posted zero-copy, and
+            # pos_own is overwritten in place below
+            out = {b: pos_own[idx] for b, idx in setup.near_send.items()}
             inbox = yield from comm.exchange(out)
             for b, payload in inbox.items():
                 slots = setup.near_recv.get(b)
@@ -257,31 +280,50 @@ def _smooth_level(
             stats[comm.rank] = local_stats()[comm.rank]
 
         # ---- forces on owned vertices ----------------------------------
-        pos_all = np.vstack([setup.pos_own, setup.pos_ghost])
-        d = pos_all[setup.dst_slot] - setup.pos_own[setup.src_pos]
-        dist = np.sqrt((d * d).sum(axis=1))
-        mag = dist / k * setup.w
-        fa = d * mag[:, None]
-        n_own = setup.pos_own.shape[0]
+        # spring forces per slot: d = pos[dst] - pos[src], scaled by
+        # |d| / K * w; each column is one contiguous row of d
+        for j in (0, 1):
+            np.take(pos_all[:, j], setup.dst_slot, out=d[j])
+            np.take(pos_own[:, j], setup.src_pos, out=tmp)
+            d[j] -= tmp
+        np.multiply(d[0], d[0], out=mag)
+        np.multiply(d[1], d[1], out=tmp)
+        mag += tmp
+        np.sqrt(mag, out=mag)
+        mag /= k
+        mag *= setup.w
+        d *= mag
         # per-source segment sum via bincount: bit-identical to the
         # np.add.at scatter it replaces, ~6x faster at scale
-        f = np.empty_like(setup.pos_own)
-        f[:, 0] = np.bincount(setup.src_pos, weights=fa[:, 0], minlength=n_own)
-        f[:, 1] = np.bincount(setup.src_pos, weights=fa[:, 1], minlength=n_own)
+        f[:, 0] = np.bincount(setup.src_pos, weights=d[0], minlength=n_own)
+        f[:, 1] = np.bincount(setup.src_pos, weights=d[1], minlength=n_own)
         field = _beta_force(stats, comm.rank, c, k)
-        f += field[None, :] * setup.mass_own[:, None]
+        f += np.multiply(field, mass_col, out=dd)
         # own-cell term: repulsion from the cell's other mass at its φ
         m_cell, com = stats[comm.rank, 0], stats[comm.rank, 1:]
-        dd = setup.pos_own - com
-        r2 = (dd * dd).sum(axis=1) + _EPS2
-        m_other = np.maximum(m_cell - setup.mass_own, 0.0)
-        f += dd * (c * k * k * setup.mass_own * m_other / r2)[:, None]
-        comm.charge(float(setup.w.shape[0] * 4 + setup.own.shape[0] * 6 + p))
+        np.subtract(pos_own, com, out=dd)
+        np.multiply(dd[:, 0], dd[:, 0], out=r2)
+        np.multiply(dd[:, 1], dd[:, 1], out=coef)
+        r2 += coef
+        r2 += _EPS2
+        np.subtract(m_cell, setup.mass_own, out=coef)
+        np.maximum(coef, 0.0, out=coef)
+        coef *= ckk_mass
+        coef /= r2
+        dd *= coef[:, None]
+        f += dd
+        comm.charge(float(setup.w.shape[0] * 4 + n_own * 6 + p))
 
         # ---- move owned vertices (communication-free cooling) ----------
-        norms = np.sqrt((f * f).sum(axis=1))
-        active = norms > 1e-300
-        setup.pos_own[active] += f[active] / norms[active, None] * step
+        np.multiply(f[:, 0], f[:, 0], out=norms)
+        np.multiply(f[:, 1], f[:, 1], out=coef)
+        norms += coef
+        np.sqrt(norms, out=norms)
+        # masked in place: rows with a zero force neither move nor divide
+        active = (norms > 1e-300)[:, None]
+        np.divide(f, norms[:, None], out=f, where=active)
+        np.multiply(f, step, out=f, where=active)
+        np.add(pos_own, f, out=pos_own, where=active)
         step *= _T
 
     comm.set_phase("embed/gather")

@@ -11,10 +11,20 @@ of a Radon partition — until few points remain; their centroid is the
 answer.  The paper's parallel formulation computes this "fast using
 sampling across processors", which
 :func:`repro.geometric.parallel` reuses directly via ``sample_size``.
+
+Each reduction pass is one stacked SVD: the ``(ngroups, d+1, d+2)``
+Radon systems of all tuples go to ``np.linalg.svd`` together, which runs
+the same LAPACK routine on every matrix that a per-tuple call would.
+The positive weights λ⁺ are folded in tuple order with the non-positive
+entries zeroed.  For d ≤ 5 (at most 7 members per tuple) that fold is
+a plain sequential sum, so a tuple's Radon point is bit-identical to a
+per-tuple reduction over its positive members only; from d = 6 on,
+numpy's 8-wide pairwise summation groups the two sums differently and
+the results may differ in the last bits.  :func:`radon_point` is the
+one-tuple case of the same code.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -24,26 +34,43 @@ from ..rng import SeedLike, as_generator
 __all__ = ["radon_point", "approx_centerpoint", "centerpoint_depth"]
 
 
+def _radon_points(tuples: np.ndarray) -> np.ndarray:
+    """Radon points of a stack of ``(m, d+2, d)`` tuples, shape ``(m, d)``.
+
+    One SVD call for the whole stack.  Numerically degenerate tuples
+    (no positive mass, or every λ positive) fall back to their centroid.
+    """
+    m, g, d = tuples.shape
+    a = np.empty((m, d + 1, g))
+    a[:, 0, :] = 1.0
+    a[:, 1:, :] = tuples.transpose(0, 2, 1)
+    _, _, vh = np.linalg.svd(a)
+    lam = vh[:, -1, :]  # (m, g) null vectors
+    pos = lam > 0
+    # zeroed entries add exact zeros to a fold whose order is unchanged
+    lam_pos = np.where(pos, lam, 0.0)
+    s_pos = lam_pos.sum(axis=1)
+    fallback = (s_pos <= 1e-300) | pos.all(axis=1)
+    out = (lam_pos[:, :, None] * tuples).sum(axis=1)
+    np.divide(out, s_pos[:, None], out=out, where=~fallback[:, None])
+    if fallback.any():
+        out[fallback] = tuples[fallback].mean(axis=1)
+    return out
+
+
 def radon_point(points: np.ndarray) -> np.ndarray:
     """Radon point of ``d+2`` points in ℝ^d.
 
     Solves ``Σλ_i = 0, Σλ_i p_i = 0`` for a nontrivial λ (null space of
     the ``(d+1) × (d+2)`` system); the Radon point is the convex
-    combination of the positive-λ points with weights λ⁺.
+    combination of the positive-λ points with weights λ⁺.  This is the
+    one-tuple case of the stacked reduction :func:`approx_centerpoint`
+    runs.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 2:
         raise GeometryError(f"radon_point needs (d+2, d) points, got {pts.shape}")
-    d = pts.shape[1]
-    a = np.vstack([np.ones((1, d + 2)), pts.T])  # (d+1, d+2)
-    _, _, vh = np.linalg.svd(a)
-    lam = vh[-1]
-    pos = lam > 0
-    s_pos = lam[pos].sum()
-    if s_pos <= 1e-300 or pos.all():
-        # numerically degenerate configuration: fall back to centroid
-        return pts.mean(axis=0)
-    return (lam[pos, None] * pts[pos]).sum(axis=0) / s_pos
+    return _radon_points(pts[None])[0]
 
 
 def approx_centerpoint(
@@ -56,14 +83,19 @@ def approx_centerpoint(
     A random sample of ``sample_size`` points is repeatedly reduced:
     each pass shuffles the current set, groups it into (d+2)-tuples and
     replaces every tuple by its Radon point; leftovers carry over.  The
-    final handful is averaged.
+    final handful is averaged.  Raises :class:`GeometryError` for a
+    ``sample_size`` below 1 and for non-finite points.
     """
+    if sample_size < 1:
+        raise GeometryError(f"sample_size must be >= 1, got {sample_size}")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise GeometryError("approx_centerpoint expects (n, d) points")
     n, d = pts.shape
     if n == 0:
         raise GeometryError("cannot take the centerpoint of no points")
+    if not np.isfinite(pts).all():
+        raise GeometryError("approx_centerpoint needs finite points")
     g = d + 2
     if n <= g:
         return pts.mean(axis=0)
@@ -72,14 +104,10 @@ def approx_centerpoint(
         pts = pts[rng.choice(n, size=sample_size, replace=False)]
     current = pts
     while current.shape[0] > g:
-        order = rng.permutation(current.shape[0])
-        current = current[order]
+        current = current[rng.permutation(current.shape[0])]
         ngroups = current.shape[0] // g
-        reduced = [
-            radon_point(current[i * g : (i + 1) * g]) for i in range(ngroups)
-        ]
-        leftover = current[ngroups * g :]
-        current = np.vstack([np.asarray(reduced), leftover]) if reduced else leftover
+        reduced = _radon_points(current[: ngroups * g].reshape(ngroups, g, d))
+        current = np.concatenate([reduced, current[ngroups * g :]])
     return current.mean(axis=0)
 
 

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..core.config import ScalaPartConfig
 from ..graph.csr import CSRGraph
 from ..graph.distributed import adjacency_slots, block_of, block_starts
 from ..graph.partition import Bisection
@@ -43,10 +42,21 @@ from .centerpoint import approx_centerpoint
 from .circles import random_unit_vectors
 from .stereo import lift, project, rotation_to_south
 
+if TYPE_CHECKING:
+    from ..core.config import ScalaPartConfig
+
 __all__ = ["DistGeoSelection", "dist_geometric", "dist_strip_refine",
            "dist_sp_pg7_nl"]
 
 _HIST_BINS = 128
+
+
+def _config_or_default(config: Optional[ScalaPartConfig]) -> ScalaPartConfig:
+    # imported here, not at module level: repro.core imports this module
+    # (core/__init__ -> kway -> stages), so a top-level import is a cycle
+    from ..core.config import ScalaPartConfig
+
+    return config or ScalaPartConfig()
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,7 @@ def dist_geometric(
     per-rank *work* touches only the owned block).  Returns a
     :class:`DistGeoSelection` for :func:`dist_strip_refine`.
     """
-    cfg = config or ScalaPartConfig()
+    cfg = _config_or_default(config)
     n = graph.num_vertices
     p = comm.size
     starts = block_starts(n, p)
@@ -191,7 +201,7 @@ def dist_strip_refine(
     gathers the (small) strip to the subtree root, runs FM there and
     broadcasts the result.  Returns ``(side, info)``.
     """
-    cfg = config or ScalaPartConfig()
+    cfg = _config_or_default(config)
     p = comm.size
     comm.set_phase("partition/strip")
     sd_full = yield from allgather_concat(comm, selection.sd_own)
@@ -239,7 +249,7 @@ def dist_sp_pg7_nl(
     Chains :func:`dist_geometric` and :func:`dist_strip_refine` — the
     same two stage programs the registry pipeline composes.
     """
-    cfg = config or ScalaPartConfig()
+    cfg = _config_or_default(config)
     selection = yield from dist_geometric(comm, graph, pos_full,
                                           config=cfg, seed=seed)
     return (yield from dist_strip_refine(comm, graph, selection, config=cfg))

@@ -29,6 +29,8 @@ class TestConfig:
             {"strip_factor": 0},
             {"max_imbalance": 1.5},
             {"smooth_iters": -1},
+            {"centerpoint_sample": 0},
+            {"centerpoint_sample": -5},
         ],
     )
     def test_invalid_rejected(self, kw):

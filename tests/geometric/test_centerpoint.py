@@ -64,6 +64,20 @@ class TestApproxCenterpoint:
         with pytest.raises(GeometryError):
             approx_centerpoint(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("sample_size", [0, -5])
+    def test_sample_size_below_one_raises(self, sample_size):
+        pts = np.random.default_rng(13).random((50, 3))
+        with pytest.raises(GeometryError, match="sample_size"):
+            approx_centerpoint(pts, seed=1, sample_size=sample_size)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_non_finite_points_raise(self, bad, n):
+        pts = np.random.default_rng(14).random((n, 2))
+        pts[n // 2, 1] = bad
+        with pytest.raises(GeometryError, match="finite"):
+            approx_centerpoint(pts, seed=1)
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         pts = rng.random((500, 2))

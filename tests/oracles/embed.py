@@ -10,7 +10,8 @@ The optimised kernels must reproduce these outputs bit for bit;
 from __future__ import annotations
 
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -24,9 +25,14 @@ from repro.embed.fdl import (
 )
 from repro.embed.forces import DEFAULT_C, _EPS2
 from repro.embed.lattice import LatticeStats, lattice_stats
+from repro.embed.parallel import _T as _COOLING
+from repro.embed.parallel import _beta_force, _gather_full_pos
 from repro.embed.quadtree import _EXACT_CUTOFF
 from repro.errors import EmbeddingError
 from repro.graph.csr import CSRGraph
+from repro.graph.distributed import adjacency_slots
+from repro.parallel.engine import Comm
+from repro.parallel.topology import ProcessGrid
 
 
 def _attractive_forces_reference(
@@ -285,3 +291,171 @@ def _force_directed_layout_reference(
             converged = True
             break
     return LayoutResult(pos, it, converged, step, energy)
+
+
+@dataclass
+class _LevelSetupReference:
+    """Per-rank smoothing state with separate owned and ghost arrays."""
+
+    own: np.ndarray
+    pos_own: np.ndarray
+    mass_own: np.ndarray
+    src_pos: np.ndarray
+    w: np.ndarray
+    dst_slot: np.ndarray
+    ghost_ids: np.ndarray
+    near_send: Dict[int, np.ndarray]
+    near_recv: Dict[int, np.ndarray]
+    far_slots: np.ndarray
+    far_ids: np.ndarray
+    pos_ghost: np.ndarray
+
+
+def _setup_level_reference(
+    comm: Comm,
+    graph: CSRGraph,
+    pos_full: np.ndarray,
+    owner: np.ndarray,
+    grid: ProcessGrid,
+) -> _LevelSetupReference:
+    """Rank-local working set; owned and ghost coordinates are copies."""
+    r = comm.rank
+    own = np.flatnonzero(owner == r).astype(np.int64)
+    src_pos, src, dst, w = adjacency_slots(graph, own)
+    ghost_mask = owner[dst] != r
+    ghost_ids = np.unique(dst[ghost_mask])
+    dst_slot = np.empty(dst.shape[0], dtype=np.int64)
+    own_sorted = own
+    local = ~ghost_mask
+    dst_slot[local] = np.searchsorted(own_sorted, dst[local])
+    dst_slot[~local] = own.shape[0] + np.searchsorted(ghost_ids, dst[ghost_mask])
+
+    nbrs = set(grid.neighbors8(r))
+    near_send: Dict[int, np.ndarray] = {}
+    near_recv: Dict[int, np.ndarray] = {}
+    ghost_owner = owner[ghost_ids]
+    for b in sorted(nbrs):
+        mine_to_b = np.unique(src[owner[dst] == b])
+        if mine_to_b.size:
+            near_send[b] = np.searchsorted(own_sorted, mine_to_b)
+        from_b = np.flatnonzero(ghost_owner == b)
+        if from_b.size:
+            near_recv[b] = from_b
+    far = ~np.isin(ghost_owner, sorted(nbrs))
+    far_slots = np.flatnonzero(far)
+    comm.charge(float(dst.shape[0]) + own.shape[0])
+    return _LevelSetupReference(
+        own=own,
+        pos_own=pos_full[own].copy(),
+        mass_own=graph.vwgt[own].copy(),
+        src_pos=src_pos,
+        w=w,
+        dst_slot=dst_slot,
+        ghost_ids=ghost_ids,
+        near_send=near_send,
+        near_recv=near_recv,
+        far_slots=far_slots,
+        far_ids=ghost_ids[far_slots],
+        pos_ghost=pos_full[ghost_ids].copy(),
+    )
+
+
+def _smooth_level_reference(
+    comm: Comm,
+    graph: CSRGraph,
+    pos_full: np.ndarray,
+    owner: np.ndarray,
+    grid: ProcessGrid,
+    *,
+    iters: int,
+    block_size: int,
+    c: float,
+    k: float = 1.0,
+    step0: float = 1.0,
+):
+    """Fixed-lattice smoothing of one level: a per-iteration ``vstack``
+    of owned and ghost rows, fresh temporaries for every force term and
+    a boolean-masked move."""
+    n = graph.num_vertices
+    comm.set_phase("embed/smooth")
+    setup = _setup_level_reference(comm, graph, pos_full, owner, grid)
+    p = comm.size
+
+    def local_stats() -> np.ndarray:
+        table = np.zeros((p, 3))
+        m = setup.mass_own.sum()
+        table[comm.rank, 0] = m
+        if m > 0:
+            table[comm.rank, 1:] = (
+                setup.mass_own[:, None] * setup.pos_own
+            ).sum(axis=0) / m
+        return table
+
+    comm.set_phase("embed/refresh")
+    stats = np.array(
+        (yield from comm.allreduce(local_stats(), words=3.0 * p))
+    )
+    comm.set_phase("embed/smooth")
+    step = step0
+
+    for it in range(iters):
+        comm.set_phase("embed/halo")
+        if setup.near_send or setup.near_recv:
+            out = {
+                b: setup.pos_own[idx] for b, idx in setup.near_send.items()
+            }
+            inbox = yield from comm.exchange(out)
+            for b, payload in inbox.items():
+                slots = setup.near_recv.get(b)
+                if slots is None or payload.shape[0] != slots.shape[0]:
+                    raise EmbeddingError(
+                        f"halo mismatch: rank {comm.rank} got {payload.shape[0]} "
+                        f"coords from {b}, expected "
+                        f"{0 if slots is None else slots.shape[0]}"
+                    )
+                setup.pos_ghost[slots] = payload
+        elif p > 1:
+            yield from comm.exchange({})
+        comm.set_phase("embed/smooth")
+
+        if it % block_size == 0:
+            comm.set_phase("embed/refresh")
+            if setup.far_slots.size or p > 1:
+                full = yield from _gather_full_pos(
+                    comm, setup, n, words_out=2.0 * max(1, setup.far_slots.size)
+                )
+                if setup.far_slots.size:
+                    setup.pos_ghost[setup.far_slots] = full[setup.far_ids]
+            stats = np.array(
+                (yield from comm.allreduce(local_stats(), words=3.0 * p))
+            )
+            comm.set_phase("embed/smooth")
+        else:
+            stats[comm.rank] = local_stats()[comm.rank]
+
+        pos_all = np.vstack([setup.pos_own, setup.pos_ghost])
+        d = pos_all[setup.dst_slot] - setup.pos_own[setup.src_pos]
+        dist = np.sqrt((d * d).sum(axis=1))
+        mag = dist / k * setup.w
+        fa = d * mag[:, None]
+        n_own = setup.pos_own.shape[0]
+        f = np.empty_like(setup.pos_own)
+        f[:, 0] = np.bincount(setup.src_pos, weights=fa[:, 0], minlength=n_own)
+        f[:, 1] = np.bincount(setup.src_pos, weights=fa[:, 1], minlength=n_own)
+        field = _beta_force(stats, comm.rank, c, k)
+        f += field[None, :] * setup.mass_own[:, None]
+        m_cell, com = stats[comm.rank, 0], stats[comm.rank, 1:]
+        dd = setup.pos_own - com
+        r2 = (dd * dd).sum(axis=1) + _EPS2
+        m_other = np.maximum(m_cell - setup.mass_own, 0.0)
+        f += dd * (c * k * k * setup.mass_own * m_other / r2)[:, None]
+        comm.charge(float(setup.w.shape[0] * 4 + setup.own.shape[0] * 6 + p))
+
+        norms = np.sqrt((f * f).sum(axis=1))
+        active = norms > 1e-300
+        setup.pos_own[active] += f[active] / norms[active, None] * step
+        step *= _COOLING
+
+    comm.set_phase("embed/gather")
+    full = yield from _gather_full_pos(comm, setup, n)
+    return full
